@@ -2,16 +2,9 @@
 
 Kept deliberately minimal so that ``pip install -e .`` works in offline
 environments whose setuptools lacks the ``wheel`` package required by
-PEP 660 editable installs.  The one piece of real metadata here is the
-``numba`` extra: the simulation kernels (``repro.sim.kernels``) run on a
-pure-python fallback everywhere, and JIT-compile the inner loop when numba
-is importable — ``pip install -e .[numba]`` opts in.
+PEP 660 editable installs.
 """
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        "numba": ["numba>=0.57"],
-    },
-)
+setup()

@@ -123,7 +123,7 @@ def min_effective_cycle_time(
         settings: MILP solver settings shared by all solves.
         progress: Optional callback invoked after each stored configuration.
         simulate_cycles: When set, run the simulation phase: every stored
-            configuration is evaluated in one batched run of the vectorized
+            configuration is evaluated in one batched run of the compiled
             engine (``repro.sim``), ``point.throughput`` is filled in and
             ``result.best_simulated`` identifies RC_min.
         simulate_seed: Seed shared by all simulation lanes.

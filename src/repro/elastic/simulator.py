@@ -9,7 +9,7 @@ cross-checks that both estimate the same steady-state throughput.
 compiled engine in :mod:`repro.sim` simulates the same circuit state (channel
 markings, EB-chain latencies, early-join selections) as flat arrays and is
 cross-checked against it firing-for-firing.  The
-:func:`simulate_elastic_throughput` wrapper defaults to the vectorized
+:func:`simulate_elastic_throughput` wrapper defaults to the compiled
 engine, which is bit-identical under the same seed; pass
 ``engine="reference"`` to force the structural simulator.
 """
@@ -136,7 +136,7 @@ def simulate_elastic_throughput(
 ) -> float:
     """Convenience wrapper returning just the estimated throughput.
 
-    ``engine="vector"`` (default) runs the compiled array engine on the same
+    ``engine="vector"`` (default) runs the compiled engine on the same
     circuit semantics (bit-identical under the same seed);
     ``engine="reference"`` runs the structural simulator above.
     """

@@ -84,7 +84,7 @@ def table2_job(
             settings, k=5, epsilon=epsilon, baseline=True
         ),
         # The LP-preferred configuration is simulated as lane 0 next to every
-        # stored candidate, in one batched array program; the shared seed
+        # stored candidate, in one batch of simulation lanes; the shared seed
         # keeps each lane bit-identical to a serial run.
         simulate=SimulateParams(cycles=cycles, seed=seed, include_best=True),
     )

@@ -20,7 +20,7 @@ is fully determined by these handshake semantics.
 simple per-node implementation that the compiled engine in :mod:`repro.sim`
 is cross-checked against firing-for-firing (``tests/test_sim_engine.py``).
 The module-level wrappers (:func:`simulate_tgmg`, :func:`simulate_throughput`)
-default to the vectorized engine, which produces bit-identical results under
+default to the compiled engine, which produces bit-identical results under
 the same seed; pass ``engine="reference"`` to force the oracle.
 """
 
@@ -192,19 +192,19 @@ def simulate_tgmg(
 ) -> SimulationResult:
     """Simulate a TGMG and estimate its steady-state throughput.
 
-    ``engine="vector"`` (default) compiles the TGMG into the array engine of
-    :mod:`repro.sim`; ``engine="reference"`` runs the pure-Python oracle.
-    Both are bit-identical under the same seed.
+    ``engine="vector"`` (default) compiles the TGMG and runs it through
+    :func:`repro.sim.batch.run_models`; ``engine="reference"`` runs the
+    pure-Python oracle.  Both are bit-identical under the same seed.
     """
     if warmup is None:
         warmup = max(200, cycles // 10)
     if engine == "reference":
         simulator = TGMGSimulator(tgmg, seed=seed)
         return simulator.run(cycles=cycles, warmup=warmup)
-    from repro.sim.engine import VectorSimulator, compile_tgmg
+    from repro.sim.batch import run_models
+    from repro.sim.engine import compile_tgmg
 
-    vectorized = VectorSimulator(compile_tgmg(tgmg), seeds=[seed])
-    return vectorized.run(cycles=cycles, warmup=warmup).result(0)
+    return run_models([compile_tgmg(tgmg)], [seed], cycles, warmup).result(0)
 
 
 def simulate_throughput(

@@ -49,8 +49,8 @@ from repro.seeding import derive_seed
 from repro.sim import kernels as _kernels
 
 #: Conservative throughput of the batched evaluation path, in edge-cycle
-#: operations per second.  Calibrated against the compiled kernel backends
-#: (numba / generated C run the reference container at ~100M ops/s;
+#: operations per second.  Calibrated against the compiled kernel backend
+#: (generated C runs the reference container at ~100M ops/s;
 #: deliberately ~5x below that so the deterministic budget translates into
 #: *at most* the nominal wall-clock budget on slower hosts).  The model is a
 #: pure function of the job — it must NOT consult the active backend, or two

@@ -37,7 +37,6 @@ from repro.lp import Model, SolveStatus
 from repro.search.state import BUBBLE, RETIME, Move, SearchState
 from repro.sim import batch as _sim_batch
 from repro.sim import cache as _sim_cache
-from repro.sim.scalar import ScalarSimulator
 
 #: Default node count up to which the LP admissible filter is armed (above
 #: it the LP solve outweighs the simulation it would save).  Shared with the
@@ -211,9 +210,10 @@ class SearchProblem:
         if hit is not None:
             return hit
         model = self.template.instantiate(tokens, buffers)
-        simulator = ScalarSimulator(model, seed=self.seed)
         value = float(
-            simulator.run(cycles=self.cycles, warmup=self.warmup).throughputs[0]
+            _sim_batch.run_models(
+                [model], [self.seed], self.cycles, self.warmup
+            ).throughputs[0]
         )
         _sim_cache.store_throughput(key, value)
         self.simulations += 1
@@ -399,7 +399,7 @@ class SearchProblem:
             models = self.template.instantiate_batch(tokens, buffers)
             computed = _sim_batch.run_models(
                 models, [self.seed] * len(models), self.cycles, self.warmup
-            )
+            ).throughputs
             for key, value in zip(miss_keys, computed):
                 value = float(value)
                 _sim_cache.store_throughput(key, value)

@@ -56,6 +56,7 @@ from repro.obs.names import REQUEST_COUNTERS, REQUEST_GAUGES, fleet_registry
 from repro.service import protocol
 from repro.service.ring import HashRing
 from repro.service.server import (
+    FramingError,
     TextPayload,
     read_request,
     trace_endpoint,
@@ -578,12 +579,17 @@ class FleetRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await asyncio.wait_for(read_request(reader), timeout=30)
+            request = await read_request(reader)
             if request is None:
                 return
             method, path, body = request
             status, payload = await self._route(method, path, body)
             await write_response(writer, status, payload)
+        except FramingError as exc:
+            try:
+                await write_response(writer, exc.status, {"error": str(exc)})
+            except ConnectionError:
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # noqa: BLE001 — a bad request must not kill the router

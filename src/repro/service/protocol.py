@@ -9,8 +9,8 @@ A request is a JSON object with a ``kind``:
 * ``{"kind": "simulate", "scenario": ..., "params": {...}, "tokens": {...},
   "buffers": {...}, "cycles": ..., "seed": ..., "mode": ...}`` — estimate
   one marking's throughput; compatible requests (same graph, cycles, warmup
-  and mode) are batched into single :class:`~repro.sim.engine.VectorSimulator`
-  lanes by the broker.
+  and mode) are batched by the broker into one
+  :func:`~repro.sim.batch.run_models` call, one lane per request.
 
 :func:`prepare_request` validates a body (unknown targets, scenarios or
 parameters fail *before* anything is queued) and derives the request's

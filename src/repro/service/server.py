@@ -23,6 +23,10 @@ no chunking).  Endpoints:
 ``POST /shutdown``        Graceful drain + exit (what SIGTERM does).
 ========================  ====================================================
 
+Any endpoint answers 400 to a ``Content-Length`` that is not a
+non-negative integer and 408 to a request not complete within
+:data:`READ_TIMEOUT_S`.
+
 Shutdown: the first SIGINT/SIGTERM stops admission (new submits get 503),
 drains queued and in-flight work — publishing artifacts as jobs finish —
 then exits 0.  A second signal aborts hard and the process exits nonzero.
@@ -50,6 +54,7 @@ _REASONS = {
     202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -57,6 +62,18 @@ _REASONS = {
 
 #: Refuse to buffer absurd request bodies (admission control for bytes).
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a client gets to deliver one complete request; a connection that
+#: stalls longer is answered 408 instead of pinning a handler forever.
+READ_TIMEOUT_S = 30.0
+
+
+class FramingError(Exception):
+    """A request that cannot be read as HTTP; answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class TextPayload(str):
@@ -72,7 +89,21 @@ async def read_request(
     the same tiny close-delimited JSON dialect).  Oversized or malformed
     bodies come back as ``{"__oversized__"|"__malformed__": True}`` markers
     so the caller can answer 400 instead of resetting the connection.
+    Unreadable framing raises :class:`FramingError`: 400 for a
+    ``Content-Length`` that is not a non-negative integer, 408 when the
+    request is not complete within :data:`READ_TIMEOUT_S`.
     """
+    try:
+        return await asyncio.wait_for(_read_framed(reader), READ_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise FramingError(
+            408, f"request not received within {READ_TIMEOUT_S:g} s"
+        ) from None
+
+
+async def _read_framed(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Any]]:
     request_line = await reader.readline()
     if not request_line.strip():
         return None
@@ -87,7 +118,10 @@ async def read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise FramingError(400, f"invalid Content-Length {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         # Drain (and discard) the body so the 400 reaches the client
         # instead of a connection reset from closing with bytes unread.
@@ -290,16 +324,17 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            # Bound the read: a client that connects and stalls must not pin
-            # a handler task and its socket forever.
-            request = await asyncio.wait_for(
-                self._read_request(reader), timeout=30
-            )
+            request = await read_request(reader)
             if request is None:
                 return
             method, path, body = request
             status, payload = await self._route(method, path, body)
             await self._respond(writer, status, payload)
+        except FramingError as exc:
+            try:
+                await self._respond(writer, exc.status, {"error": str(exc)})
+            except ConnectionError:
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # noqa: BLE001 — a bad request must not kill the server
@@ -315,11 +350,6 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Any]]:
-        return await read_request(reader)
 
     async def _respond(
         self, writer: asyncio.StreamWriter, status: int, payload: Any

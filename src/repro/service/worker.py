@@ -9,8 +9,9 @@ a background executor thread.  The bridge
   every :class:`~repro.pipeline.events.PipelineEvent` to the broker's
   thread-safe emit callback as it happens;
 * batches the lanes of a simulate group through
-  :func:`repro.sim.batch.simulate_vectors` (one compiled-engine array
-  program, per-lane seeds — the service's request-level batching);
+  :func:`repro.sim.batch.simulate_vectors` (one compiled template, one
+  lane per request with its own seed — the service's request-level
+  batching);
 * reads and writes the persistent tiers: simulated throughputs go through
   the :mod:`repro.sim.cache` persistent backend, rendered run results are
   published as ``service-result`` artifacts so a later identical request is

@@ -1,14 +1,12 @@
-"""Vectorized batch simulation engine.
+"""Compiled simulation engine.
 
-Compiles TGMGs / elastic circuits into flat numpy index arrays and advances
-whole cycles (and whole batches of configurations or replicas) with array
-operations, while staying firing-for-firing compatible with the pure-Python
-reference simulators under a shared seed.  See ``docs/performance.md``.
-
-Hot loops additionally lower to compiled kernels (numba or generated C)
-when a backend is available — see :mod:`repro.sim.kernels`; every backend
-is bit-identical to the pure-python engines, and ``kernel_backend()``
-reports which one is active.
+Compiles TGMGs / elastic circuits into flat index arrays once per graph and
+simulates configurations and replicas as lanes, firing-for-firing
+compatible with the pure-Python reference simulators under a shared seed.
+Each lane runs on the generated-C kernel of :mod:`repro.sim.kernels` when a
+C compiler is available, else on the pure-python :class:`ScalarSimulator`;
+both are bit-identical, and ``kernel_backend()`` reports which one is
+active.  See ``docs/performance.md``.
 """
 
 from repro.sim.batch import (
@@ -23,7 +21,6 @@ from repro.sim.engine import (
     CompiledModel,
     CompiledStructure,
     CompiledTemplate,
-    VectorSimulator,
     compile_elastic_template,
     compile_template,
     compile_tgmg,
@@ -36,7 +33,6 @@ __all__ = [
     "CompiledStructure",
     "CompiledTemplate",
     "ScalarSimulator",
-    "VectorSimulator",
     "cache_stats",
     "clear_caches",
     "compile_elastic_template",

@@ -1,4 +1,4 @@
-"""Batch simulation API on top of the compiled engine.
+"""Batch simulation API on top of the compiled models.
 
 Entry points:
 
@@ -6,12 +6,13 @@ Entry points:
   template reuse and the throughput cache; this is what
   :func:`repro.gmg.simulation.simulate_throughput` and
   :func:`repro.elastic.simulator.simulate_elastic_throughput` call.
-* :func:`simulate_configurations` — many configurations of the *same* RRG in
-  one array program (lanes differ only in marking/latency vectors).  With the
+* :func:`simulate_configurations` — many configurations of the *same* RRG
+  in one batch (lanes differ only in marking/latency vectors).  With the
   default shared seed each lane is bit-identical to a serial single run.
 * :func:`simulate_replicas` — many independently-seeded replicas of one
-  configuration, for variance estimation; defaults to the fast (numpy)
-  guard sampler.
+  configuration, for variance estimation.
+
+Every entry point simulates through :func:`run_models`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.configuration import RRConfiguration
 from repro.core.rrg import RRG
 from repro.sim import cache as _cache
 from repro.sim import kernels as _kernels
-from repro.sim.engine import CompiledModel, VectorSimulator
+from repro.sim.engine import BatchRunResult, CompiledModel
 from repro.sim.scalar import ScalarSimulator
 
 Source = Union[RRG, RRConfiguration]
@@ -35,42 +36,37 @@ def run_models(
     seeds: Sequence[Optional[int]],
     cycles: int,
     warmup: int,
-) -> List[float]:
-    """Simulate one lane per compiled model; throughputs in input order.
+) -> BatchRunResult:
+    """Simulate one lane per compiled model (all of one structure).
 
-    The executor choice is a pure performance decision — every path is
-    bit-identical to a serial :class:`ScalarSimulator` run per lane:
-
-    * a native kernel backend (numba / generated C) runs event-driven lanes
-      through :mod:`repro.sim.kernels` (via the ``ScalarSimulator.run``
-      lowering);
-    * otherwise the array wavefront amortises its per-wave overhead across
-      lanes, which wins once the batch is wide and the graph small enough
-      that per-lane python work dominates; else event-driven python lanes.
+    The single dispatcher of every compiled simulation: each lane runs
+    through the generated-C kernel when it is loaded, else through the
+    pure-python :class:`ScalarSimulator`.  Both are bit-identical, so the
+    backend never shows in the result — one window per lane, in input order.
     """
-    if not models:
-        return []
-    use_wavefront = (
-        len(models) >= 8
-        and models[0].structure.num_nodes <= 128
-        and not _kernels.native_active()
+    if cycles <= 0:
+        raise ValueError("cycles must be positive")
+    windows: List[List[int]] = []
+    throughputs: List[float] = []
+    native = _kernels.native_active()
+    for model, seed in zip(models, seeds):
+        if native:
+            _, window, throughput = _kernels.run_window(model, seed, cycles, warmup)
+        else:
+            run = ScalarSimulator(model, seed=seed).run(cycles=cycles, warmup=warmup)
+            window, throughput = run.firings[0], run.throughputs[0]
+        windows.append(window)
+        throughputs.append(throughput)
+    node_names = list(models[0].structure.node_names) if models else []
+    return BatchRunResult(
+        node_names=node_names,
+        cycles=cycles,
+        warmup=warmup,
+        firings=np.asarray(windows, dtype=np.int64).reshape(
+            len(windows), len(node_names)
+        ),
+        throughputs=np.asarray(throughputs, dtype=np.float64),
     )
-    if not use_wavefront:
-        return [
-            float(
-                ScalarSimulator(model, seed=seed)
-                .run(cycles=cycles, warmup=warmup)
-                .throughputs[0]
-            )
-            for model, seed in zip(models, seeds)
-        ]
-    markings = np.stack([model.marking0 for model in models])
-    latencies = np.stack([model.latency for model in models])
-    simulator = VectorSimulator(
-        models[0], markings=markings, latencies=latencies, seeds=list(seeds)
-    )
-    run = simulator.run(cycles=cycles, warmup=warmup)
-    return [float(value) for value in run.throughputs]
 
 
 def default_warmup(cycles: int) -> int:
@@ -132,10 +128,7 @@ def simulate_throughput_vector(
             return hit
     template = _cache.compiled_template_for(rrg, mode=mode)
     model = template.instantiate(token_vector, buffer_vector)
-    # One lane: the event-driven engine beats the wavefront (no per-wave
-    # array-call overhead); both are bit-identical to the reference.
-    simulator = ScalarSimulator(model, seed=seed)
-    value = float(simulator.run(cycles=cycles, warmup=warmup).throughputs[0])
+    value = float(run_models([model], [seed], cycles, warmup).throughputs[0])
     if use_cache:
         _cache.store_throughput(key, value)
     return value
@@ -154,7 +147,7 @@ def simulate_configurations(
 
     All configurations must share the base graph structure (same nodes,
     edges and probabilities); they may differ arbitrarily in token/buffer
-    vectors.  Each lane runs with its own compat-mode RNG seeded by ``seed``
+    vectors.  Each lane runs with its own ``random.Random`` seeded by ``seed``
     (or ``seeds[i]``), so the returned values are bit-identical to serial
     :func:`simulate_throughput_vector` calls.
 
@@ -208,7 +201,7 @@ def simulate_vectors(
     The marking-level core of :func:`simulate_configurations`, exposed for
     callers (the optimization service) whose lanes are described by raw
     vectors rather than :class:`RRConfiguration` objects.  Each lane runs
-    with its own compat-mode RNG, so results are bit-identical to serial
+    with its own ``random.Random``, so results are bit-identical to serial
     :func:`simulate_throughput_vector` calls with the same vectors.
     """
     if not vectors:
@@ -252,9 +245,9 @@ def simulate_vectors(
         ]
         throughputs = run_models(
             models, [lane_seeds[i] for i in misses], cycles, warmup
-        )
+        ).throughputs
         for lane, index in enumerate(misses):
-            value = throughputs[lane]
+            value = float(throughputs[lane])
             results[index] = value
             if use_cache and lane_seeds[index] is not None:
                 _cache.store_throughput(keys[index], value)
@@ -269,14 +262,14 @@ def simulate_replicas(
     warmup: Optional[int] = None,
     seed: Optional[int] = None,
     mode: str = "tgmg",
-    rng_mode: str = "fast",
 ) -> np.ndarray:
-    """Simulate ``replicas`` independent runs of one configuration at once.
+    """Simulate ``replicas`` independent runs of one configuration.
 
     Returns the per-replica throughput estimates (useful for confidence
-    intervals on the sampling noise).  ``rng_mode="fast"`` (default) draws
-    all guard samples from one numpy generator; ``"compat"`` gives every
-    replica its own ``random.Random(seed + i)`` stream.
+    intervals on the sampling noise).  Replica ``i`` runs with seed
+    ``seed + i`` — the value a serial :func:`simulate_throughput_vector`
+    call with that seed returns — and every replica is unseeded when
+    ``seed`` is None.
     """
     if replicas <= 0:
         raise ValueError("replicas must be positive")
@@ -285,13 +278,7 @@ def simulate_replicas(
     rrg, token_vector, buffer_vector = _resolve_vectors(source)
     template = _cache.compiled_template_for(rrg, mode=mode)
     model = template.instantiate(token_vector, buffer_vector)
-    if rng_mode == "compat":
-        seeds: Sequence[Optional[int]] = (
-            [None] * replicas if seed is None else [seed + i for i in range(replicas)]
-        )
-    else:
-        seeds = [seed] * replicas
-    simulator = VectorSimulator(
-        model, lanes=replicas, seeds=seeds, rng_mode=rng_mode
+    seeds: List[Optional[int]] = (
+        [None] * replicas if seed is None else [seed + i for i in range(replicas)]
     )
-    return simulator.run(cycles=cycles, warmup=warmup).throughputs
+    return run_models([model] * replicas, seeds, cycles, warmup).throughputs

@@ -1,4 +1,4 @@
-"""Caches for the vectorized simulation engine.
+"""Caches for the compiled simulation engine.
 
 Two layers of reuse keep Pareto sweeps cheap:
 

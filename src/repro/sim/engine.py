@@ -1,37 +1,27 @@
-"""Compiled, array-based simulation engine for elastic-system throughput.
+"""Compiled models of elastic-system simulation.
 
 The pure-Python simulators (:class:`repro.gmg.simulation.TGMGSimulator` and
 :class:`repro.elastic.simulator.ElasticSimulator`) advance one node at a time
 through dicts; they remain the *reference semantics oracle*.  This module
-compiles the same synchronous semantics into flat numpy index arrays once and
-then advances whole cycles with vectorized array operations:
+compiles the same synchronous semantics into flat index arrays once, for the
+two executors that run it fast (:class:`repro.sim.scalar.ScalarSimulator` and
+the generated-C kernel of :mod:`repro.sim.kernels`):
 
 * the graph structure becomes CSR-style in-edge lists plus per-edge
   producer/consumer index vectors,
-* node/channel delays become per-edge latencies served from a ring buffer of
-  pending-arrival rows (one ``O(E)`` add per cycle instead of per-token
-  shift registers),
-* the per-cycle firing fixpoint becomes a *levelized* wavefront: every
-  enabled not-yet-fired node fires simultaneously, and the loop repeats until
-  no new node fires.  Firing a node can never disable another one (each edge
-  has a unique consumer, and production only adds tokens), so the per-cycle
-  fired set is exactly the reference simulators' fixpoint,
+* node/channel delays become per-edge latencies, served by the executors
+  from a ring of arrival buckets instead of per-token shift registers,
 * early-evaluation guards are drawn through tables that replicate
-  ``random.Random.choices`` bit-for-bit (``rng_mode="compat"``, the default),
-  so a run is firing-for-firing identical to the reference simulators under a
-  shared seed.  ``rng_mode="fast"`` instead pre-draws guard samples in chunks
-  from a numpy generator for batched replica sweeps.
+  ``random.Random.choices`` bit-for-bit, so a run is firing-for-firing
+  identical to the reference simulators under a shared seed.
 
-Everything carries an explicit batch dimension: ``B`` independent lanes
-(replicas and/or configurations of the same structure, which differ only in
-their marking/latency vectors) advance through one array program.
+A :class:`CompiledTemplate` keeps markings and latencies symbolic, so many
+configurations of one RRG compile once and instantiate cheaply.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Mapping, Optional, Sequence
 
@@ -42,35 +32,20 @@ from repro.gmg.build import TGMGTemplate, ValueRef, build_template
 from repro.gmg.graph import TGMG, GMGError
 from repro.gmg.simulation import SimulationResult
 
-#: Cycles of pre-drawn guard uniforms per chunk in ``rng_mode="fast"``.
-_FAST_CHUNK = 1024
-
-#: Cap on dense in/out edge slots per node for the sparse wavefront tail
-#: (the actual count adapts to the graph's maximum degree).
-_SLOTS = 8
-
 
 @dataclass
 class GuardTable:
     """Guard-selection table of one early-evaluation node.
 
     ``cum_weights``/``total``/``hi`` mirror the internals of
-    ``random.Random.choices`` so that compat-mode draws consume the RNG stream
+    ``random.Random.choices`` so that guard draws consume the RNG stream
     exactly like the reference simulators do.
     """
 
-    edges: np.ndarray  # engine edge ids of the node's in-edges, in order
+    edges: List[int]  # engine edge ids of the node's in-edges, in order
     cum_weights: List[float]
     total: float
     hi: int
-    cum_array: np.ndarray = field(default=None)  # same values, for fast mode
-    edges_list: List[int] = field(default=None)  # same ids, for scalar draws
-
-    def __post_init__(self) -> None:
-        if self.cum_array is None:
-            self.cum_array = np.asarray(self.cum_weights, dtype=np.float64)
-        if self.edges_list is None:
-            self.edges_list = [int(e) for e in self.edges]
 
 
 class CompiledStructure:
@@ -117,7 +92,7 @@ class CompiledStructure:
             cum = list(accumulate(float(w) for w in weights))
             self.guards.append(
                 GuardTable(
-                    edges=self.in_idx[self.in_ptr[node] : self.in_ptr[node + 1]].copy(),
+                    edges=self.in_idx[self.in_ptr[node] : self.in_ptr[node + 1]].tolist(),
                     cum_weights=cum,
                     total=cum[-1] + 0.0,
                     hi=len(cum) - 1,
@@ -380,12 +355,12 @@ def compile_elastic_template(rrg: RRG) -> CompiledTemplate:
     return CompiledTemplate(structure, marking_refs, latency_refs, rrg.num_edges)
 
 
-# -- the simulator ------------------------------------------------------------
+# -- run results --------------------------------------------------------------
 
 
 @dataclass
 class BatchRunResult:
-    """Measured window of a (possibly batched) vectorized run."""
+    """Measured window of one or more lanes of the same compiled structure."""
 
     node_names: List[str]
     cycles: int
@@ -410,400 +385,3 @@ class BatchRunResult:
             firings=counts,
             rates=rates,
         )
-
-
-class VectorSimulator:
-    """Advance ``B`` independent lanes of one compiled structure.
-
-    Lanes share the index arrays (the structure) and may differ in initial
-    marking, per-edge latency and RNG seed — which is exactly how many
-    configurations and/or replicas of the same RRG stack into one array
-    program.
-
-    Args:
-        model: Compiled model providing the structure and default
-            marking/latency vectors.
-        lanes: Number of lanes when ``markings`` is not given.
-        markings: Optional ``(B, E)`` initial-marking override.
-        latencies: Optional ``(B, E)`` or ``(E,)`` latency override.
-        seeds: Per-lane seeds (``rng_mode="compat"``); a single value is
-            broadcast to every lane.
-        rng_mode: ``"compat"`` replicates ``random.Random.choices`` draw for
-            draw (bit-identical to the reference simulators under a shared
-            seed); ``"fast"`` pre-draws guard uniforms in chunks from one
-            ``numpy`` generator (seeded by the first seed).
-    """
-
-    def __init__(
-        self,
-        model: CompiledModel,
-        *,
-        lanes: Optional[int] = None,
-        markings: Optional[np.ndarray] = None,
-        latencies: Optional[np.ndarray] = None,
-        seeds: Optional[Sequence[Optional[int]]] = None,
-        rng_mode: str = "compat",
-    ) -> None:
-        if rng_mode not in ("compat", "fast"):
-            raise ValueError(f"unknown rng_mode {rng_mode!r}")
-        structure = model.structure
-        self._s = structure
-        num_edges = structure.num_edges
-
-        if markings is None:
-            batch = lanes if lanes is not None else 1
-            markings = np.tile(model.marking0, (batch, 1))
-        else:
-            markings = np.array(markings, dtype=np.int64, ndmin=2)
-        self._batch = markings.shape[0]
-        if markings.shape != (self._batch, num_edges):
-            raise ValueError("markings must have shape (B, num_edges)")
-
-        if latencies is None:
-            latencies = model.latency
-        latencies = np.array(latencies, dtype=np.int64, ndmin=2)
-        if latencies.shape[0] == 1 and self._batch > 1:
-            latencies = np.tile(latencies, (self._batch, 1))
-        if latencies.shape != (self._batch, num_edges):
-            raise ValueError("latencies must have shape (B, num_edges)")
-        if (latencies < 0).any():
-            raise ValueError("latencies must be non-negative")
-
-        if seeds is None or isinstance(seeds, (int, float)):
-            seeds = [seeds] * self._batch  # type: ignore[list-item]
-        if len(seeds) != self._batch:
-            raise ValueError("need one seed per lane")
-        self._seeds = list(seeds)
-        self.rng_mode = rng_mode
-
-        self._init_marking = markings.astype(np.int64)
-        self._latency = latencies
-        self._depth = int(latencies.max()) + 1 if num_edges else 1
-        self._zero_lat = self._latency == 0
-        self._zero_pad = np.zeros((self._batch, num_edges + 1), dtype=bool)
-        self._zero_pad[:, :num_edges] = self._zero_lat
-        self._zero_flat = self._zero_pad.reshape(-1)
-        lane_index, edge_index = np.nonzero(self._latency > 0)
-        self._nz_cols = lane_index * num_edges + edge_index
-        self._nz_lat = self._latency[lane_index, edge_index]
-
-        # The marking array carries one extra *sentinel* column pinned at 1.
-        # Every node's in-edge list is padded to two dense slots with the
-        # sentinel, so the enabled test for the (dominant) in-degree <= 2
-        # nodes is two flat gathers + compares — no segment reduction.  Nodes
-        # with more inputs get a tiny logical_and.reduceat over the leftover
-        # in-edges only.  Flat indices are precomputed per lane.
-        sentinel = num_edges
-        stride = num_edges + 1
-        lane_off = (np.arange(self._batch, dtype=np.int64) * stride)[:, None]
-        self._lane_off_pad = lane_off
-        in_ptr, in_idx = structure.in_ptr, structure.in_idx
-        col0 = np.full(structure.num_nodes, sentinel, dtype=np.int64)
-        col1 = np.full(structure.num_nodes, sentinel, dtype=np.int64)
-        hi_nodes: List[int] = []
-        hi_idx: List[int] = []
-        hi_starts: List[int] = []
-        for node in range(structure.num_nodes):
-            lo, hi = int(in_ptr[node]), int(in_ptr[node + 1])
-            degree = hi - lo
-            if degree >= 1:
-                col0[node] = in_idx[lo]
-            if degree >= 2:
-                col1[node] = in_idx[lo + 1]
-            if degree > 2:
-                hi_nodes.append(node)
-                hi_starts.append(len(hi_idx))
-                hi_idx.extend(int(e) for e in in_idx[lo + 2 : hi])
-        self._col0_flat = col0[None, :] + lane_off
-        self._col1_flat = col1[None, :] + lane_off
-        self._hi_nodes = np.asarray(hi_nodes, dtype=np.int64)
-        self._hi_starts = np.asarray(hi_starts, dtype=np.int64)
-        self._hi_flat = (
-            np.asarray(hi_idx, dtype=np.int64)[None, :] + lane_off
-            if hi_idx
-            else np.zeros((self._batch, 0), dtype=np.int64)
-        )
-
-        # Sparse-wave structures: after the first dense wave only consumers
-        # of freshly produced zero-latency edges can become enabled, so later
-        # waves run on that small candidate set.  In- and out-edges are
-        # padded to ``_SLOTS`` dense columns; the rare candidates with more
-        # edges than that trigger a dense fallback wave.
-        slots_in: List[np.ndarray] = []
-        slots_out: List[np.ndarray] = []
-        out_lists: List[List[int]] = [[] for _ in range(structure.num_nodes)]
-        for edge in range(num_edges):
-            out_lists[int(structure.prod[edge])].append(edge)
-        in_degrees = np.diff(in_ptr)
-        out_degrees = np.asarray([len(lst) for lst in out_lists] or [0])
-        max_degree = int(max(in_degrees.max() if len(in_degrees) else 0,
-                             out_degrees.max() if len(out_degrees) else 0, 1))
-        num_slots = min(_SLOTS, max_degree)
-        for position in range(num_slots):
-            column_in = np.full(structure.num_nodes, sentinel, dtype=np.int64)
-            column_out = np.full(structure.num_nodes, sentinel, dtype=np.int64)
-            for node in range(structure.num_nodes):
-                lo, hi = int(in_ptr[node]), int(in_ptr[node + 1])
-                if hi - lo > position:
-                    column_in[node] = in_idx[lo + position]
-                if len(out_lists[node]) > position:
-                    column_out[node] = out_lists[node][position]
-            slots_in.append(column_in)
-            slots_out.append(column_out)
-        self._slots_in_flat = [column[None, :] + lane_off for column in slots_in]
-        self._slots_out_n = slots_out
-        self._slots_out_flat = [column[None, :] + lane_off for column in slots_out]
-        self._in_hi = in_degrees > num_slots
-        self._out_hi = out_degrees > num_slots
-        # Sparse waves only pay off when the dense wave is wide; for small
-        # graphs the candidate bookkeeping costs more than it saves.
-        self._use_sparse = structure.num_nodes > 96
-        self._early_member = np.zeros(structure.num_nodes, dtype=bool)
-        self._early_slot_arr = np.full(structure.num_nodes, -1, dtype=np.int64)
-        for slot, node in enumerate(structure.early_pos):
-            self._early_member[node] = True
-            self._early_slot_arr[node] = slot
-        self.reset()
-
-    # -- state ----------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Restore every lane's initial marking and clear all statistics."""
-        structure = self._s
-        batch, num_edges = self._batch, structure.num_edges
-        self._marking_pad = np.ones((batch, num_edges + 1), dtype=np.int64)
-        self._marking_pad[:, :num_edges] = self._init_marking
-        self.marking = self._marking_pad[:, :num_edges]
-        self._marking_flat = self._marking_pad.reshape(-1)
-        self._arrivals = np.zeros((self._depth, batch * num_edges), dtype=np.int64)
-        self.cycle = 0
-        self.firings = np.zeros((batch, structure.num_nodes), dtype=np.int64)
-        self._pending = np.full((batch, structure.num_early), -1, dtype=np.int64)
-        self._fired = np.zeros((batch, structure.num_nodes), dtype=bool)
-        self._enabled = np.zeros((batch, structure.num_nodes), dtype=bool)
-        self._scratch = np.zeros((batch, structure.num_nodes), dtype=bool)
-        self._wave = np.zeros((batch, structure.num_nodes), dtype=bool)
-        if self.rng_mode == "compat":
-            self._rngs = [random.Random(seed) for seed in self._seeds]
-            # Python mirror of ``_pending`` for the draw loop (numpy scalar
-            # reads are an order of magnitude slower than list indexing).
-            self._pending_rows = [
-                [-1] * structure.num_early for _ in range(batch)
-            ]
-        else:
-            self._fast_rng = np.random.default_rng(self._seeds[0])
-            self._fast_buf: Optional[np.ndarray] = None
-            self._fast_row = 0
-
-    # -- guard sampling --------------------------------------------------------
-
-    def _draw_guards_compat(self) -> None:
-        # The python rows are authoritative for the draw checks; every drawn
-        # value is mirrored into the numpy array the fixpoint gathers from.
-        guards = self._s.guards
-        pending = self._pending
-        for lane, rng in enumerate(self._rngs):
-            row = self._pending_rows[lane]
-            for position, table in enumerate(guards):
-                if row[position] < 0:
-                    choice = bisect(
-                        table.cum_weights,
-                        rng.random() * table.total,
-                        0,
-                        table.hi,
-                    )
-                    edge = table.edges_list[choice]
-                    row[position] = edge
-                    pending[lane, position] = edge
-
-    def _draw_guards_fast(self) -> None:
-        pending = self._pending
-        need = pending < 0
-        if self._fast_buf is None or self._fast_row >= _FAST_CHUNK:
-            self._fast_buf = self._fast_rng.random(
-                (_FAST_CHUNK, self._batch, self._s.num_early)
-            )
-            self._fast_row = 0
-        uniforms = self._fast_buf[self._fast_row]
-        self._fast_row += 1
-        if not need.any():
-            return
-        for position in np.nonzero(need.any(axis=0))[0]:
-            table = self._s.guards[position]
-            lanes = need[:, position]
-            choice = np.searchsorted(
-                table.cum_array, uniforms[lanes, position] * table.total, side="right"
-            )
-            pending[lanes, position] = table.edges[np.minimum(choice, table.hi)]
-
-    # -- single cycle ----------------------------------------------------------
-
-    def step(self, record: bool = False) -> Optional[np.ndarray]:
-        """Advance one clock cycle on every lane.
-
-        Returns the ``(B, N)`` fired mask when ``record`` is true.
-        """
-        structure = self._s
-        marking = self.marking
-        batch, num_edges = self._batch, structure.num_edges
-
-        # 1. Deliver tokens whose latency elapsed this cycle.
-        row = self.cycle % self._depth
-        marking += self._arrivals[row].reshape(batch, num_edges)
-        self._arrivals[row] = 0
-
-        # 2. Early nodes without a held guard sample one (same RNG stream and
-        #    node order as the reference simulators).
-        if structure.num_early:
-            if self.rng_mode == "compat":
-                self._draw_guards_compat()
-            else:
-                self._draw_guards_fast()
-            guard_flat = self._pending + self._lane_off_pad
-
-        # 3. Levelized firing fixpoint: fire every enabled not-yet-fired node
-        #    simultaneously; repeat until the wavefront is empty.  Firing can
-        #    only enable (never disable) other nodes, so this reaches the same
-        #    unique fixpoint as the reference per-node sweeps.
-        fired = self._fired
-        fired[:] = False
-        enabled = self._enabled
-        scratch = self._scratch
-        wave = self._wave
-        flat = self._marking_flat
-        zero_flat = self._zero_flat
-        col0, col1 = self._col0_flat, self._col1_flat
-        hi_nodes = self._hi_nodes
-        cons_arr = structure.cons
-        candidates: Optional[np.ndarray] = None
-        while True:
-            if candidates is None:
-                # Dense wave over every node.  Enabled = every in-edge
-                # marked; in-degree <= 2 handled by two flat gathers (the
-                # sentinel column is pinned at 1), the few higher-degree
-                # nodes by a small reduce over their extra in-edges.
-                np.greater_equal(flat.take(col0), 1, out=enabled)
-                np.greater_equal(flat.take(col1), 1, out=scratch)
-                np.logical_and(enabled, scratch, out=enabled)
-                if hi_nodes.size:
-                    extra = np.logical_and.reduceat(
-                        flat.take(self._hi_flat) >= 1, self._hi_starts, axis=1
-                    )
-                    enabled[:, hi_nodes] &= extra
-                if structure.num_early:
-                    # Guard edges are fixed for the whole cycle (pending
-                    # never changes inside the fixpoint).
-                    enabled[:, structure.early_pos] = flat[guard_flat] >= 1
-                np.logical_not(fired, out=wave)
-                np.logical_and(enabled, wave, out=wave)
-                if not wave.any():
-                    break
-                np.logical_or(fired, wave, out=fired)
-                # Each edge has a unique consumer/producer, so plain fancy
-                # indexing (no duplicate targets) consumes and produces.
-                marking -= wave[:, cons_arr]
-                produced = wave[:, structure.prod]
-                np.logical_and(produced, self._zero_lat, out=produced)
-                marking += produced
-                active = np.nonzero(produced.any(axis=0))[0]
-                if active.size == 0:
-                    break  # nothing produced combinationally -> fixpoint
-                if not self._use_sparse:
-                    continue  # stay dense; small graphs don't benefit
-                candidates = cons_arr[active]
-            else:
-                # Sparse wave: only consumers of freshly produced
-                # zero-latency edges can have become enabled.
-                group = candidates
-                in_cols = [column[:, group] for column in self._slots_in_flat]
-                enab = flat[in_cols[0]] >= 1
-                for column in in_cols[1:]:
-                    enab &= flat[column] >= 1
-                early_here = np.nonzero(self._early_member[group])[0]
-                if early_here.size:
-                    slots = self._early_slot_arr[group[early_here]]
-                    enab[:, early_here] = flat[guard_flat[:, slots]] >= 1
-                fired_here = fired[:, group]
-                new_fire = enab & ~fired_here
-                if not new_fire.any():
-                    break
-                fired[:, group] = fired_here | new_fire
-                for column in in_cols:
-                    flat[column] -= new_fire
-                # Sentinel slots soaked up the writes for missing in-edges;
-                # restore the pinned 1 before the next gather.
-                self._marking_pad[:, -1] = 1
-                produced_chunks = []
-                for position, column in enumerate(self._slots_out_flat):
-                    out_col = column[:, group]
-                    add = new_fire & zero_flat[out_col]
-                    flat[out_col] += add
-                    produced_chunks.append(
-                        self._slots_out_n[position][group][add.any(axis=0)]
-                    )
-                produced_edges = np.concatenate(produced_chunks)
-                if produced_edges.size == 0:
-                    break
-                # Duplicate candidates are harmless (all sparse updates are
-                # idempotent per column), so skip the dedup pass.
-                candidates = cons_arr[produced_edges]
-            if candidates is not None and (
-                self._in_hi[candidates].any() or self._out_hi[candidates].any()
-            ):
-                candidates = None  # rare awkward nodes: run a dense wave
-
-        # 4. Enqueue delayed deliveries, once per cycle, into the ring rows.
-        if self._nz_cols.size:
-            produced = fired[:, structure.prod].ravel()[self._nz_cols]
-            slot = self._nz_lat + row
-            slot[slot >= self._depth] -= self._depth
-            self._arrivals[slot, self._nz_cols] += produced
-
-        self.firings += fired
-        if structure.num_early:
-            fired_early = fired[:, structure.early_pos]
-            self._pending[fired_early] = -1
-            if self.rng_mode == "compat":
-                rows = self._pending_rows
-                for lane, position in zip(*np.nonzero(fired_early)):
-                    rows[lane][position] = -1
-        self.cycle += 1
-        return fired.copy() if record else None
-
-    # -- full runs -------------------------------------------------------------
-
-    def run(self, cycles: int, warmup: int = 0) -> BatchRunResult:
-        """Simulate ``warmup + cycles`` cycles; measure over the last ``cycles``."""
-        if cycles <= 0:
-            raise ValueError("cycles must be positive")
-        for _ in range(warmup):
-            self.step()
-        baseline = self.firings.copy()
-        for _ in range(cycles):
-            self.step()
-        window = self.firings - baseline
-        # Python-float reduction in node order: the reported throughput is the
-        # same double the reference simulators compute for identical firings.
-        throughputs = np.empty(self._batch, dtype=np.float64)
-        for lane in range(self._batch):
-            rates = [int(count) / cycles for count in window[lane]]
-            throughputs[lane] = sum(rates) / len(rates) if rates else 0.0
-        return BatchRunResult(
-            node_names=list(self._s.node_names),
-            cycles=cycles,
-            warmup=warmup,
-            firings=window,
-            throughputs=throughputs,
-        )
-
-    # -- conveniences ----------------------------------------------------------
-
-    @property
-    def lanes(self) -> int:
-        return self._batch
-
-    def fired_names(self, mask: np.ndarray, lane: int = 0) -> List[str]:
-        """Node names set in a recorded fired mask for one lane."""
-        return [
-            self._s.node_names[i] for i in np.nonzero(mask[lane])[0]
-        ]

@@ -1,40 +1,33 @@
-"""Lowered simulation kernels for the event-driven engine.
+"""The generated-C simulation kernel (the fast path).
 
 The pure-python :class:`repro.sim.scalar.ScalarSimulator` advances one lane
 with event-driven bookkeeping; its inner loop is the cost center of every
-search evaluation.  This module lowers that exact loop — same worklist, same
-threshold crossings, same ``random.Random``-compatible guard draws — to a
-real kernel:
+search evaluation.  This module emits that exact loop — same worklist, same
+threshold crossings, same ``random.Random``-compatible guard draws — as C,
+compiles it once per machine with the system C compiler and loads it
+through ``ctypes``.  Two backends exist:
 
-* ``numba`` — ``@njit`` of the single-source array program, when numba is
-  importable;
-* ``c`` — the same program emitted as C, compiled once per machine with the
-  system C compiler and loaded through ``ctypes`` (the near-native fallback
-  for environments without numba);
-* ``python`` — the mandatory fallback: the list-based ``ScalarSimulator``
-  loop itself (and, for lane batches of small graphs, the
-  :class:`repro.sim.engine.VectorSimulator` wavefront).  Every backend is
-  firing-for-firing identical, so results never depend on which one ran.
+* ``c`` — the generated kernel, driven by :func:`run_window`;
+* ``python`` — the fallback: :meth:`ScalarSimulator.step` itself.
 
-Selection happens at import time from ``REPRO_SIM_KERNEL``:
+Both are firing-for-firing identical, so results never depend on which one
+ran.  Selection happens at import time from ``REPRO_SIM_KERNEL``:
 
-* ``auto`` (default) — numba if importable, else the generated-C path if a
-  C compiler is on ``PATH``, else pure python;
-* ``numba`` / ``c`` — require that backend (raise if unavailable);
+* ``auto`` (default) — the C kernel if a C compiler is on ``PATH``, else
+  pure python;
+* ``c`` — require the C kernel (raise if unavailable);
 * ``python`` — force the pure-python fallback.
 
-Native backends are *materialized* lazily (numba jit / C compile happen at
-first use, guarded by a lock); under ``auto`` a materialization failure
-demotes to the next backend and records the reason in :func:`kernel_info`.
+The C kernel is *materialized* lazily (compiled at first use, guarded by a
+lock); under ``auto`` a build failure demotes to python and records the
+reason in :func:`kernel_info`.
 
 Bit-identical RNG: guard draws must consume the stream of one fresh
 ``random.Random(seed)`` in exactly the reference order (cycle start, early
 node order, only when no guard is held).  The kernel cannot call back into
 python per draw, so uniforms are pre-drawn in chunks into a buffer; the
 kernel consumes them sequentially and returns for a refill when the buffer
-cannot cover a cycle's worst case.  The total number of draws *consumed* is
-tracked, so callers can replay an equivalent ``random.Random`` to continue
-a run in pure python.
+cannot cover a cycle's worst case.
 """
 
 from __future__ import annotations
@@ -54,160 +47,23 @@ import numpy as np
 
 _ENV_VAR = "REPRO_SIM_KERNEL"
 _CACHE_ENV_VAR = "REPRO_SIM_KERNEL_CACHE"
-_BACKENDS = ("auto", "numba", "c", "python")
+_BACKENDS = ("auto", "c", "python")
 
 #: Pre-drawn guard uniforms per refill chunk.
 _UNIFORM_CHUNK = 1 << 15
 
 
-# -- the single-source kernel program -----------------------------------------
+# -- the generated C kernel ----------------------------------------------------
 #
-# One cycle of the event-driven engine over flat int64/float64 arrays; the
-# body is a statement-for-statement mirror of ``ScalarSimulator.step`` (same
+# Cycles of the event-driven engine over flat int64/float64 arrays; the body
+# is a statement-for-statement mirror of ``ScalarSimulator.step`` (same
 # worklist order, same threshold crossings, same guard-draw positions), so
-# markings, firings and RNG consumption are bit-identical.  The function is
-# written in the numba-compatible subset of python: it runs as-is (slow, used
-# by the parity tests), under ``@njit``, and as generated C below.
+# markings, firings and RNG consumption are bit-identical.
 #
 # State is carried in the arrays plus ``io``: ``io[0]`` the cycle counter,
 # ``io[1]`` the uniform cursor, ``io[2]`` the persistent ready-list length.
 # Returns 0 after ``max_cycles`` cycles, or 1 when the uniform buffer cannot
 # cover another cycle (caller refills and re-invokes).
-
-
-def _kernel_cycles(
-    max_cycles, num_nodes, num_edges, num_early, depth,
-    cons, in_ptr, in_idx, out_ptr, out_idx,
-    early_nodes, early_slot,
-    guard_ptr, guard_edges, guard_cumw, guard_total, guard_hi,
-    latency, marking, deficit, pending, firings,
-    ring_count, ring_edges, queue, next_ready, fired_cycle,
-    uniforms, u_len, io,
-):
-    cycle = io[0]
-    u_index = io[1]
-    nr_len = io[2]
-    done = 0
-    while done < max_cycles:
-        if num_early > 0 and u_index + num_early > u_len:
-            io[0] = cycle
-            io[1] = u_index
-            io[2] = nr_len
-            return 1
-        # The worklist starts from the simple nodes whose deficit was zero
-        # at the last cycle boundary.
-        qlen = nr_len
-        for i in range(nr_len):
-            queue[i] = next_ready[i]
-        nr_len = 0
-
-        # 1. Deliver tokens whose latency elapsed this cycle.
-        slot = cycle % depth
-        base = slot * num_edges
-        count = ring_count[slot]
-        for i in range(count):
-            edge = ring_edges[base + i]
-            value = marking[edge]
-            marking[edge] = value + 1
-            if value == 0:  # crossed into >= 1
-                consumer = cons[edge]
-                position = early_slot[consumer]
-                if position >= 0:
-                    if pending[position] == edge:
-                        queue[qlen] = consumer
-                        qlen += 1
-                else:
-                    remaining = deficit[consumer] - 1
-                    deficit[consumer] = remaining
-                    if remaining == 0:
-                        queue[qlen] = consumer
-                        qlen += 1
-        ring_count[slot] = 0
-
-        # 2. Early nodes without a held guard sample one, in node order.
-        for position in range(num_early):
-            guard = pending[position]
-            if guard < 0:
-                x = uniforms[u_index] * guard_total[position]
-                u_index += 1
-                gbase = guard_ptr[position]
-                hi = guard_hi[position]
-                k = 0
-                while k < hi and guard_cumw[gbase + k] <= x:
-                    k += 1
-                guard = guard_edges[gbase + k]
-                pending[position] = guard
-            if marking[guard] >= 1:
-                queue[qlen] = early_nodes[position]
-                qlen += 1
-
-        # 3. Fire to a fixpoint.
-        while qlen > 0:
-            qlen -= 1
-            node = queue[qlen]
-            if fired_cycle[node] == cycle:
-                continue
-            position = early_slot[node]
-            if position >= 0:
-                guard = pending[position]
-                if guard < 0:  # mirror python list[-1] (unreachable in practice)
-                    guard += num_edges
-                if marking[guard] < 1:
-                    continue
-            elif deficit[node] != 0:
-                continue
-            fired_cycle[node] = cycle
-            firings[node] += 1
-            for k in range(in_ptr[node], in_ptr[node + 1]):
-                edge = in_idx[k]
-                value = marking[edge] - 1
-                marking[edge] = value
-                if value == 0:  # crossed below 1; the consumer is this node
-                    deficit[node] += 1
-            if position >= 0:
-                pending[position] = -1
-            for k in range(out_ptr[node], out_ptr[node + 1]):
-                edge = out_idx[k]
-                lat = latency[edge]
-                if lat == 0:
-                    value = marking[edge]
-                    marking[edge] = value + 1
-                    if value == 0:
-                        consumer = cons[edge]
-                        cpos = early_slot[consumer]
-                        if cpos >= 0:
-                            if pending[cpos] == edge:
-                                queue[qlen] = consumer
-                                qlen += 1
-                        else:
-                            remaining = deficit[consumer] - 1
-                            deficit[consumer] = remaining
-                            if remaining == 0:
-                                if fired_cycle[consumer] == cycle:
-                                    next_ready[nr_len] = consumer
-                                    nr_len += 1
-                                else:
-                                    queue[qlen] = consumer
-                                    qlen += 1
-                else:
-                    target = slot + lat
-                    if target >= depth:
-                        target -= depth
-                    ring_edges[target * num_edges + ring_count[target]] = edge
-                    ring_count[target] += 1
-            if deficit[node] == 0:
-                next_ready[nr_len] = node
-                nr_len += 1
-
-        cycle += 1
-        done += 1
-    io[0] = cycle
-    io[1] = u_index
-    io[2] = nr_len
-    return 0
-
-
-# -- generated C mirror --------------------------------------------------------
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -344,7 +200,6 @@ _lock = threading.Lock()
 _backend: str = "python"
 _requested: str = "auto"
 _materialized = False
-_numba_kernel = None
 _c_kernel = None
 _info_notes: List[str] = []
 
@@ -366,17 +221,6 @@ def _select_backend() -> str:
     _requested = requested
     if requested == "python":
         return "python"
-    if requested in ("auto", "numba"):
-        try:
-            import numba  # noqa: F401
-
-            return "numba"
-        except ImportError as exc:
-            if requested == "numba":
-                raise RuntimeError(
-                    f"{_ENV_VAR}=numba but numba is not importable: {exc}"
-                ) from exc
-            _info_notes.append(f"numba unavailable: {exc}")
     if _find_compiler() is not None:
         return "c"
     if requested == "c":
@@ -434,24 +278,14 @@ def _build_c_kernel():
 
 
 def _materialize_locked() -> None:
-    """Jit / compile the selected backend; demote under ``auto`` on failure."""
-    global _backend, _materialized, _numba_kernel, _c_kernel
+    """Compile the C kernel if selected; demote under ``auto`` on failure."""
+    global _backend, _materialized, _c_kernel
     if _materialized:
         return
-    if _backend == "numba" and _numba_kernel is None:
-        try:
-            import numba
-
-            _numba_kernel = numba.njit(cache=True, nogil=True)(_kernel_cycles)
-        except Exception as exc:  # noqa: BLE001 — demote, never break callers
-            if _requested == "numba":
-                raise
-            _info_notes.append(f"numba jit failed: {type(exc).__name__}: {exc}")
-            _backend = "c" if _find_compiler() is not None else "python"
     if _backend == "c" and _c_kernel is None:
         try:
             _c_kernel = _build_c_kernel()
-        except Exception as exc:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001 — demote, never break callers
             if _requested == "c":
                 raise
             _info_notes.append(f"C build failed: {type(exc).__name__}: {exc}")
@@ -460,15 +294,15 @@ def _materialize_locked() -> None:
 
 
 def kernel_backend() -> str:
-    """The active backend name (``numba`` / ``c`` / ``python``), materialized."""
+    """The active backend name (``c`` / ``python``), materialized."""
     with _lock:
         _materialize_locked()
         return _backend
 
 
 def native_active() -> bool:
-    """True when a compiled (numba or C) kernel is loaded and selected."""
-    return kernel_backend() in ("numba", "c")
+    """True when the compiled C kernel is loaded and selected."""
+    return kernel_backend() == "c"
 
 
 def kernel_info() -> dict:
@@ -489,7 +323,7 @@ def use_backend(name: str) -> Iterator[str]:
     Raises ``RuntimeError`` when the requested backend cannot be
     materialized, so callers can skip gracefully.
     """
-    if name not in ("numba", "c", "python"):
+    if name not in ("c", "python"):
         raise ValueError(f"unknown backend {name!r}")
     global _backend, _requested, _materialized
     with _lock:
@@ -518,7 +352,7 @@ def use_backend(name: str) -> Iterator[str]:
 
 
 class KernelPlan:
-    """Flat index arrays of one compiled structure, shared by every backend.
+    """Flat index arrays of one compiled structure, shared by both backends.
 
     Also carries the python-side lists the :class:`ScalarSimulator`
     constructor needs, so the O(V + E) numpy-scalar conversions happen once
@@ -558,7 +392,7 @@ class KernelPlan:
         guard_total: List[float] = []
         guard_hi: List[int] = []
         for table in structure.guards:
-            guard_edges.extend(int(edge) for edge in table.edges)
+            guard_edges.extend(table.edges)
             guard_cumw.extend(table.cum_weights)
             guard_ptr.append(len(guard_edges))
             guard_total.append(table.total)
@@ -608,7 +442,7 @@ def plan_for(structure) -> KernelPlan:
 
 
 class KernelRun:
-    """State of one lane advanced by the active kernel backend."""
+    """State of one lane advanced by the C kernel."""
 
     def __init__(self, model, seed: Optional[int]) -> None:
         plan = plan_for(model.structure)
@@ -637,15 +471,10 @@ class KernelRun:
             _UNIFORM_CHUNK if plan.num_early else 0, dtype=np.float64
         )
         self.u_len = 0
-        self.draws = 0  # uniforms pulled from the python Random so far
 
     @property
     def cycle(self) -> int:
         return int(self.io[0])
-
-    def draws_consumed(self) -> int:
-        """Uniform draws the kernel actually used (for python RNG replay)."""
-        return self.draws - (self.u_len - int(self.io[1]))
 
     def _refill(self) -> None:
         cursor = int(self.io[1])
@@ -654,13 +483,13 @@ class KernelRun:
             self.uniforms[:remaining] = self.uniforms[cursor : self.u_len]
         self.io[1] = 0
         rng_random = self._rng.random
-        fresh = [rng_random() for _ in range(self.uniforms.size - remaining)]
-        self.uniforms[remaining:] = fresh
-        self.draws += len(fresh)
+        self.uniforms[remaining:] = [
+            rng_random() for _ in range(self.uniforms.size - remaining)
+        ]
         self.u_len = self.uniforms.size
 
     def advance(self, cycles: int) -> None:
-        """Run ``cycles`` more cycles through the active backend."""
+        """Run ``cycles`` more cycles through the C kernel."""
         if cycles <= 0:
             return
         target = int(self.io[0]) + cycles
@@ -672,28 +501,6 @@ class KernelRun:
                 raise RuntimeError(f"simulation kernel returned status {status}")
 
 
-def _invoke(run: KernelRun, max_cycles: int) -> int:
-    plan = run.plan
-    backend = kernel_backend()
-    if backend == "numba" and _numba_kernel is not None:
-        kernel = _numba_kernel
-    elif backend == "c" and _c_kernel is not None:
-        return _invoke_c(run, max_cycles)
-    else:
-        kernel = _kernel_cycles
-    return kernel(
-        max_cycles, plan.num_nodes, plan.num_edges, plan.num_early, run.depth,
-        plan.cons, plan.in_ptr, plan.in_idx, plan.out_ptr, plan.out_idx,
-        plan.early_nodes, plan.early_slot,
-        plan.guard_ptr, plan.guard_edges, plan.guard_cumw,
-        plan.guard_total, plan.guard_hi,
-        run.latency, run.marking, run.deficit, run.pending, run.firings,
-        run.ring_count, run.ring_edges, run.queue, run.next_ready,
-        run.fired_cycle,
-        run.uniforms, run.u_len, run.io,
-    )
-
-
 def _i64_ptr(array: np.ndarray):
     return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
@@ -702,7 +509,7 @@ def _f64_ptr(array: np.ndarray):
     return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
 
 
-def _invoke_c(run: KernelRun, max_cycles: int) -> int:
+def _invoke(run: KernelRun, max_cycles: int) -> int:
     plan = run.plan
     return int(
         _c_kernel(
@@ -728,12 +535,17 @@ def _invoke_c(run: KernelRun, max_cycles: int) -> int:
 def run_window(
     model, seed: Optional[int], cycles: int, warmup: int
 ) -> Tuple[KernelRun, List[int], float]:
-    """Run ``warmup + cycles`` cycles; return (state, window counts, Theta).
+    """Run ``warmup + cycles`` cycles in C; return (state, window counts, Theta).
 
     The throughput is reduced with the same python-float arithmetic as the
     pure-python engines (per-node rate list, mean in node order), so the
-    reported double is bit-identical across backends.
+    reported double is bit-identical to a :class:`ScalarSimulator` run.
+    Raises ``RuntimeError`` unless the C backend is active.
     """
+    if not native_active():
+        raise RuntimeError(
+            f"run_window needs the C kernel (active backend: {kernel_backend()})"
+        )
     run = KernelRun(model, seed)
     if warmup > 0:
         run.advance(warmup)

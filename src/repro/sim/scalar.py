@@ -1,10 +1,7 @@
-"""Event-driven single-lane engine over a compiled model.
+"""Event-driven single-lane engine over a compiled model (the python fallback).
 
-The vectorized wavefront of :class:`repro.sim.engine.VectorSimulator` pays a
-fixed number of array operations per *wave*, and a cycle needs as many waves
-as the deepest combinational cascade — ideal when many lanes amortise it,
-wasteful for one lane.  This engine instead advances one lane with
-event-driven bookkeeping:
+The reference simulators sweep every node until nothing fires; this engine
+instead advances one lane with event-driven bookkeeping:
 
 * every node keeps a **deficit counter** (number of in-edges whose marking is
   below 1); a simple node is enabled exactly when its deficit is zero;
@@ -12,18 +9,17 @@ event-driven bookkeeping:
   ``>= 1``) and updates the consumer's deficit, pushing newly-enabled nodes
   onto a worklist — so a cycle costs O(firings + edges touched), not
   O(nodes x sweeps) like the reference simulators;
-* delayed production goes through the same ring of arrival buckets as the
-  vectorized engine (lists of edge ids, no per-token shift registers).
+* delayed production goes through a ring of arrival buckets (lists of edge
+  ids, no per-token shift registers).
 
-Guard sampling uses the same ``random.Random``-compatible tables as compat
-mode of the vectorized engine, so a run is firing-for-firing identical to
-:class:`repro.gmg.simulation.TGMGSimulator` /
+Guard sampling uses ``random.Random``-compatible tables, so a run is
+firing-for-firing identical to :class:`repro.gmg.simulation.TGMGSimulator` /
 :class:`repro.elastic.simulator.ElasticSimulator` under a shared seed.
 
-When a native kernel backend is active (see :mod:`repro.sim.kernels`),
-:meth:`ScalarSimulator.run` lowers whole runs to it and syncs the python
-state back afterwards — every backend is bit-identical, so which one ran is
-invisible in the results.
+:meth:`ScalarSimulator.step` is the loop the generated-C kernel of
+:mod:`repro.sim.kernels` mirrors statement for statement;
+:func:`repro.sim.batch.run_models` runs lanes through this class only when
+that kernel is not loaded.
 """
 
 from __future__ import annotations
@@ -44,10 +40,8 @@ class ScalarSimulator:
     def __init__(self, model: CompiledModel, seed: Optional[int] = None) -> None:
         structure = model.structure
         self._s = structure
-        self._model = model
         self._seed = seed
         self._num_nodes = structure.num_nodes
-        self._num_edges = structure.num_edges
         # Structure-level lists come from the shared kernel plan, so the
         # O(V + E) numpy-scalar conversions happen once per structure, not
         # once per candidate evaluation.
@@ -213,8 +207,6 @@ class ScalarSimulator:
         """Simulate ``warmup + cycles`` cycles; measure over the last ``cycles``."""
         if cycles <= 0:
             raise ValueError("cycles must be positive")
-        if self.cycle == 0 and _kernels.native_active():
-            return self._run_kernel(cycles, warmup)
         step = self.step
         for _ in range(warmup):
             step()
@@ -224,43 +216,6 @@ class ScalarSimulator:
         window = [now - then for now, then in zip(self.firings, baseline)]
         rates = [count / cycles for count in window]
         throughput = sum(rates) / len(rates) if rates else 0.0
-        return BatchRunResult(
-            node_names=list(self._s.node_names),
-            cycles=cycles,
-            warmup=warmup,
-            firings=np.asarray([window], dtype=np.int64),
-            throughputs=np.asarray([throughput], dtype=np.float64),
-        )
-
-    def _run_kernel(self, cycles: int, warmup: int) -> BatchRunResult:
-        """Whole-run lowering to the active native kernel (bit-identical).
-
-        The python-visible state (marking, firings, deficits, arrival ring,
-        ready list, RNG position) is synced back afterwards, so ``step()``
-        continues exactly where a pure-python run would have.
-        """
-        run, window, throughput = _kernels.run_window(
-            self._model, self._seed, cycles, warmup
-        )
-        num_edges = self._num_edges
-        self.marking = run.marking.tolist()
-        self.cycle = run.cycle
-        self.firings = run.firings.tolist()
-        self._pending = run.pending.tolist()
-        self._deficit = run.deficit.tolist()
-        self._arrivals = [
-            run.ring_edges[
-                slot * num_edges : slot * num_edges + int(run.ring_count[slot])
-            ].tolist()
-            for slot in range(self._depth)
-        ]
-        self._next_ready = run.next_ready[: int(run.io[2])].tolist()
-        # Replay the consumed prefix of the guard stream so later step()
-        # calls draw exactly what the pure-python run would have drawn.
-        rng = random.Random(self._seed)
-        for _ in range(run.draws_consumed()):
-            rng.random()
-        self._rng = rng
         return BatchRunResult(
             node_names=list(self._s.node_names),
             cycles=cycles,

@@ -8,6 +8,7 @@ bit-identical to the direct pipeline run.
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -551,3 +552,47 @@ class TestServiceBusySurface:
                         client.submit(body)
         finally:
             release.set()
+
+
+def _raw_exchange(port, payload, timeout=10.0):
+    """Send raw bytes without closing our side; return (status, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "+3", "\u00b2"])
+    def test_bad_content_length_is_400(self, live_server, length):
+        server, client = live_server
+        request = (
+            "POST /submit HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        ).encode("utf-8")
+        status, body = _raw_exchange(server.port, request)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        client.wait_until_healthy()
+
+    def test_stalled_request_is_408(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server.READ_TIMEOUT_S", 0.5)
+        with ServerThread() as server:
+            # A body shorter than its Content-Length, and headers that never
+            # end: both wait out the read deadline, then get 408.
+            for request in (
+                b"POST /submit HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+                b"GET /healthz HTTP/1.1\r\nHost: local",
+            ):
+                started = time.monotonic()
+                status, body = _raw_exchange(server.port, request)
+                assert status == 408
+                assert "within" in body["error"]
+                assert time.monotonic() - started < 5.0
+            ServiceClient(port=server.port, timeout=10).wait_until_healthy()

@@ -1,13 +1,13 @@
-"""Cross-checks of the vectorized engine against the reference simulators.
+"""Cross-checks of the compiled engine against the reference simulators.
 
 The pure-Python :class:`TGMGSimulator` and :class:`ElasticSimulator` are the
 semantics oracle; the compiled engine must match them *firing for firing*
 under a shared seed (same per-cycle fired sets, same markings, same firing
 counts) and must agree with the exact Markov-chain throughput on the small
-analytic examples.
+analytic examples.  ``tests/test_sim_properties.py`` extends the same
+cross-check to random graphs and the C kernel.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.configuration import RRConfiguration, RetimingVector
@@ -16,7 +16,7 @@ from repro.gmg.build import build_tgmg
 from repro.gmg.markov import exact_throughput
 from repro.gmg.simulation import TGMGSimulator, simulate_throughput
 from repro.sim import (
-    VectorSimulator,
+    ScalarSimulator,
     cache_stats,
     clear_caches,
     compile_tgmg,
@@ -36,34 +36,33 @@ from repro.workloads.random_rrg import random_rrg
 def _tgmg_reference_pair(rrg, seed):
     tgmg = build_tgmg(rrg)
     reference = TGMGSimulator(tgmg, seed=seed)
-    vectorized = VectorSimulator(compile_tgmg(tgmg), seeds=[seed])
-    return tgmg, reference, vectorized
+    compiled = ScalarSimulator(compile_tgmg(tgmg), seed=seed)
+    return tgmg, reference, compiled
 
 
 class TestTGMGCrossCheck:
     @pytest.mark.parametrize("graph_seed", [0, 3, 11, 42])
     def test_random_rrg_firing_for_firing(self, graph_seed):
         rrg = random_rrg(10, 20, seed=graph_seed)
-        tgmg, reference, vectorized = _tgmg_reference_pair(rrg, seed=graph_seed + 100)
+        tgmg, reference, compiled = _tgmg_reference_pair(rrg, seed=graph_seed + 100)
         for cycle in range(300):
             fired_ref = set(reference.step())
-            mask = vectorized.step(record=True)
-            fired_vec = set(vectorized.fired_names(mask))
-            assert fired_ref == fired_vec, f"cycle {cycle}"
+            fired = set(compiled.fired_names(compiled.step(record=True)))
+            assert fired_ref == fired, f"cycle {cycle}"
             markings_ref = [reference.marking[i] for i in range(tgmg.num_edges)]
-            assert (np.asarray(markings_ref) == vectorized.marking[0]).all()
+            assert markings_ref == compiled.marking
         node_names = [n.name for n in tgmg.nodes]
         for position, name in enumerate(node_names):
-            assert reference.firings[name] == vectorized.firings[0][position]
+            assert reference.firings[name] == compiled.firings[position]
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
     def test_figures_firing_for_firing(self, alpha):
         for rrg in (figure1b_rrg(alpha), figure2_rrg(alpha)):
-            _, reference, vectorized = _tgmg_reference_pair(rrg, seed=7)
+            _, reference, compiled = _tgmg_reference_pair(rrg, seed=7)
             for _ in range(400):
                 fired_ref = set(reference.step())
-                mask = vectorized.step(record=True)
-                assert fired_ref == set(vectorized.fired_names(mask))
+                fired = compiled.fired_names(compiled.step(record=True))
+                assert fired_ref == set(fired)
 
     def test_wrapper_bit_identical_to_reference(self):
         for rrg in (figure1b_rrg(0.5), figure2_rrg(0.8), ring_rrg(5, 2)):
@@ -79,20 +78,19 @@ class TestElasticCrossCheck:
         reference = ElasticSimulator(rrg, seed=graph_seed)
         template = compiled_template_for(rrg, mode="elastic")
         model = template.instantiate(rrg.token_vector(), rrg.buffer_vector())
-        vectorized = VectorSimulator(model, seeds=[graph_seed])
+        compiled = ScalarSimulator(model, seed=graph_seed)
         for cycle in range(300):
             count_ref = reference.step()
-            mask = vectorized.step(record=True)
-            assert count_ref == int(mask[0].sum()), f"cycle {cycle}"
+            assert count_ref == len(compiled.step(record=True)), f"cycle {cycle}"
             markings_ref = [
                 reference.circuit.edges[i].channel.marking
                 for i in range(rrg.num_edges)
             ]
-            assert (np.asarray(markings_ref) == vectorized.marking[0]).all()
+            assert markings_ref == compiled.marking
         for position, node in enumerate(rrg.nodes):
             assert (
                 reference.circuit.controllers[node.name].firings
-                == vectorized.firings[0][position]
+                == compiled.firings[position]
             )
 
     def test_wrapper_bit_identical_to_reference(self):
@@ -138,7 +136,6 @@ class TestBatchAPI:
 
     @pytest.mark.parametrize("count", [3, 8])
     def test_batch_matches_serial_single_runs(self, count):
-        # count=3 exercises the event-driven path, count=8 the wavefront.
         rrg = random_rrg(10, 20, seed=8)
         configurations = self._variant_configurations(rrg, count=count)
         batched = simulate_configurations(
@@ -164,6 +161,23 @@ class TestBatchAPI:
             figure2_expected_throughput(0.8), abs=0.05
         )
         # Replicas are independent draws, not copies of one lane.
+        assert len({round(v, 12) for v in values}) > 1
+
+    @pytest.mark.parametrize("mode", ["tgmg", "elastic"])
+    def test_replica_i_is_the_serial_run_with_seed_plus_i(self, mode):
+        rrg = figure2_rrg(0.7)
+        values = simulate_replicas(rrg, replicas=4, cycles=600, seed=20, mode=mode)
+        simulate = (
+            simulate_throughput if mode == "tgmg" else simulate_elastic_throughput
+        )
+        serial = [
+            simulate(rrg, cycles=600, seed=20 + i, use_cache=False)
+            for i in range(4)
+        ]
+        assert values.tolist() == serial  # exact float equality
+
+    def test_unseeded_replicas_stay_independent(self):
+        values = simulate_replicas(figure2_rrg(0.7), replicas=4, cycles=400)
         assert len({round(v, 12) for v in values}) > 1
 
     def test_throughput_cache_hits(self):

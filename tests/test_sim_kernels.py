@@ -1,10 +1,9 @@
 """Kernel backends and batched evaluation: bit-identity across every path.
 
 The pure-python :class:`ScalarSimulator` loop is the semantics oracle for
-the compiled kernels (numba / generated C); whichever backend runs, a
-simulation must be *bit*-identical — same firings, same final marking, same
-float throughput — and a run lowered to a kernel must leave the python
-state able to continue ``step()`` exactly where a pure-python run would.
+the generated-C kernel; a lane run through :func:`kernels.run_window` must
+be *bit*-identical to a python run — same window firings, same float
+throughput and the same final engine state.
 
 On top of that, ``SearchProblem.evaluate_batch`` must return bit-identical
 ``Evaluation``s (and advance the shared counters identically) to the
@@ -26,8 +25,19 @@ from repro.sim.scalar import ScalarSimulator
 from repro.workloads.random_rrg import large_random_rrg, random_rrg
 
 #: The pure-python fallback plus whatever the import-time probe selected
-#: (dedup'd: on a host with no compiler and no numba this is just python).
+#: (dedup'd: on a host with no C compiler this is just python).
 BACKENDS = sorted({"python", kernels.kernel_backend()})
+
+
+def _native_available() -> bool:
+    try:
+        with kernels.use_backend("c"):
+            return True
+    except RuntimeError:
+        return False
+
+
+NATIVE = _native_available()
 
 
 def _identity_model(rrg, mode="tgmg"):
@@ -38,12 +48,12 @@ def _identity_model(rrg, mode="tgmg"):
 
 class TestBackendSelection:
     def test_probe_reports_a_known_backend(self):
-        assert kernels.kernel_backend() in ("numba", "c", "python")
+        assert kernels.kernel_backend() in ("c", "python")
 
     def test_info_names_the_requested_backend(self):
         info = kernels.kernel_info()
         assert info["backend"] == kernels.kernel_backend()
-        assert info["requested"] in ("auto", "numba", "c", "python")
+        assert info["requested"] in ("auto", "c", "python")
 
     def test_use_backend_forces_and_restores(self):
         before = kernels.kernel_backend()
@@ -52,51 +62,67 @@ class TestBackendSelection:
             assert not kernels.native_active()
         assert kernels.kernel_backend() == before
 
-    def test_unavailable_backend_raises(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
+    def test_unavailable_backend_raises(self, monkeypatch):
+        with pytest.raises(ValueError):
+            with kernels.use_backend("numba"):
+                pass
+
+        def broken_build():
+            raise OSError("no C compiler")
+
+        monkeypatch.setattr(kernels, "_build_c_kernel", broken_build)
+        monkeypatch.setattr(kernels, "_c_kernel", None)
+        before = kernels.kernel_backend()
+        with pytest.raises(RuntimeError):
+            with kernels.use_backend("c"):
+                pass
+        assert kernels.kernel_backend() == before
+
+    def test_run_window_requires_the_c_backend(self):
+        model = _identity_model(random_rrg(6, 10, seed=2))
+        with kernels.use_backend("python"):
             with pytest.raises(RuntimeError):
-                with kernels.use_backend("numba"):
-                    kernels.native_active()
+                kernels.run_window(model, 1, cycles=10, warmup=0)
 
 
+@pytest.mark.skipif(not NATIVE, reason="no C compiler for the kernel")
 @pytest.mark.parametrize("mode", ["tgmg", "elastic"])
 @pytest.mark.parametrize("graph_seed", [1, 7])
 class TestKernelParity:
     def test_run_is_bit_identical_to_python(self, mode, graph_seed):
         rrg = random_rrg(12, 24, seed=graph_seed)
         model = _identity_model(rrg, mode=mode)
-        with kernels.use_backend("python"):
-            ref = ScalarSimulator(model, seed=5)
-            ref_run = ref.run(cycles=200, warmup=50)
-        for backend in BACKENDS:
-            with kernels.use_backend(backend):
-                sim = ScalarSimulator(model, seed=5)
-                run = sim.run(cycles=200, warmup=50)
-            assert (run.firings == ref_run.firings).all(), backend
-            assert run.throughputs[0] == ref_run.throughputs[0], backend
-            assert sim.marking == ref.marking, backend
-            assert sim.firings == ref.firings, backend
+        ref_run = ScalarSimulator(model, seed=5).run(cycles=200, warmup=50)
+        with kernels.use_backend("c"):
+            _, window, throughput = kernels.run_window(
+                model, 5, cycles=200, warmup=50
+            )
+        assert window == ref_run.firings[0].tolist()
+        assert throughput == ref_run.throughputs[0]
 
-    def test_step_continues_exactly_after_a_lowered_run(self, mode, graph_seed):
+    def test_run_window_state_matches_python_run(self, mode, graph_seed):
         rrg = random_rrg(12, 24, seed=graph_seed)
         model = _identity_model(rrg, mode=mode)
-        with kernels.use_backend("python"):
-            ref = ScalarSimulator(model, seed=9)
-            ref.run(cycles=120, warmup=30)
-            ref_tail = [ref.step(record=True) for _ in range(40)]
-        for backend in BACKENDS:
-            with kernels.use_backend(backend):
-                sim = ScalarSimulator(model, seed=9)
-                sim.run(cycles=120, warmup=30)
-            # The tail steps always run in python: the kernel must have
-            # synced back marking, deficits, arrival ring, ready list and
-            # the RNG position for them to match firing-for-firing.
-            tail = [sim.step(record=True) for _ in range(40)]
-            assert tail == ref_tail, backend
-            assert sim.marking == ref.marking, backend
-            assert sim.firings == ref.firings, backend
+        ref = ScalarSimulator(model, seed=9)
+        ref.run(cycles=120, warmup=30)
+        with kernels.use_backend("c"):
+            run, _, _ = kernels.run_window(model, 9, cycles=120, warmup=30)
+        # Every piece of engine state the next cycle reads: marking,
+        # deficits, held guards, the ready list and the arrival ring.
+        assert run.cycle == ref.cycle
+        assert run.marking.tolist() == ref.marking
+        assert run.firings.tolist() == ref.firings
+        assert run.deficit.tolist() == ref._deficit
+        assert run.pending.tolist() == ref._pending
+        assert run.next_ready[: int(run.io[2])].tolist() == ref._next_ready
+        num_edges = run.plan.num_edges
+        ring = [
+            run.ring_edges[
+                slot * num_edges : slot * num_edges + int(run.ring_count[slot])
+            ].tolist()
+            for slot in range(run.depth)
+        ]
+        assert ring == ref._arrivals
 
 
 class TestEvaluateBatch:
