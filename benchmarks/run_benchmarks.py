@@ -264,23 +264,6 @@ def _service_load_run(port, clients=4, per_client=8, seed_base=0,
     }
 
 
-def _fleet_load_run(port, **kwargs):
-    """The service load profile against a fleet, plus fleet-side detail."""
-    from repro.service.client import ServiceClient
-
-    entry = _service_load_run(port, **kwargs)
-    stats = ServiceClient(port=port, timeout=60).stats()
-    entry["workers"] = stats.get("workers")
-    hit_rates = {}
-    for name, info in sorted((stats.get("per_worker") or {}).items()):
-        l1 = ((info.get("stats") or {}).get("cache") or {}).get("l1") or {}
-        hits = l1.get("hits", 0)
-        total = hits + l1.get("misses", 0)
-        hit_rates[name] = round(hits / total, 3) if total else None
-    entry["l1_hit_rate_by_worker"] = hit_rates
-    return entry
-
-
 #: Evaluation throughput of the PR 5 single-move search path on the
 #: reference container (evaluations / seconds of the committed
 #: BENCH_2026-07-28.json entries) — the baseline the batched kernel path is
@@ -426,34 +409,6 @@ def _workloads():
         # generator, so the server outlives every timed repeat.
         service.stop()
 
-    # Fleet workloads: the identical load against a 4-worker fleet behind
-    # the sharding router.  Each fingerprint's L1 and coalescing live on one
-    # worker, the persistent store is shared, so warm rps should scale with
-    # workers on a multi-core host (on one core everything serializes and
-    # the router is pure overhead — main() prints the note).
-    from repro.service.fleet import FleetThread
-
-    fleet_store = tempfile.mkdtemp(prefix="repro-bench-fleet-")
-    fleet = FleetThread(workers=4, store=fleet_store, queue_limit=256).start()
-    try:
-        fleet.wait_live()
-        fleet_window = [0]
-
-        def _fleet_cold():
-            fleet_window[0] += 1
-            return _fleet_load_run(
-                fleet.port, seed_base=200_000 + 1_000 * fleet_window[0]
-            )
-
-        yield "service_fleet_cold", _fleet_cold
-        _fleet_load_run(fleet.port, seed_base=0, shared_seeds=True)
-        yield "service_fleet_warm", lambda: _fleet_load_run(
-            fleet.port, seed_base=0, shared_seeds=True
-        )
-    finally:
-        fleet.stop()
-        shutil.rmtree(fleet_store, ignore_errors=True)
-
     try:
         import scipy  # noqa: F401
     except Exception:
@@ -509,22 +464,6 @@ def main(argv=None) -> int:
                   "speedup only shows on multi-core machines")
 
     warm_rps = results.get("service_load_warm", {}).get("rps")
-    fleet_rps = results.get("service_fleet_warm", {}).get("rps")
-    if warm_rps and fleet_rps:
-        ratio = fleet_rps / warm_rps
-        print(f"service_fleet_warm: {ratio:.2f}x rps vs single-process warm")
-        if cpus >= 4:
-            # The fleet's reason to exist: on a machine with a core per
-            # worker the warm sharded fleet must clearly outscale one
-            # process.
-            assert ratio >= 2.5, (
-                f"fleet warm rps only {ratio:.2f}x the single process "
-                f"on a {cpus}-core host (expected >= 2.5x)"
-            )
-        else:
-            print("note: single-CPU host — router and workers share one "
-                  "core, so fleet rps cannot scale here; the >=2.5x check "
-                  "only runs on >=4-core machines")
 
     traced_rps = results.get("service_load_warm_traced", {}).get("rps")
     if warm_rps and traced_rps:

@@ -16,8 +16,10 @@ Subcommands:
 
 Observability: ``run --profile`` / ``submit --profile`` trace the work end
 to end and print a profile (plus a ``trace-<id>.json`` Chrome-trace
-artifact); ``serve --metrics`` prints a periodic one-line digest, and every
-server and fleet router exposes Prometheus text on ``GET /metrics``.
+artifact, written under ``<store>/traces/`` when the command has
+``--store`` and to the current directory otherwise); ``serve --metrics``
+prints a periodic one-line digest, and the server exposes Prometheus text
+on ``GET /metrics``.
 
 Examples::
 
@@ -184,14 +186,21 @@ def _print_profile(
     trace_id: str,
     spans: Sequence[Dict[str, Any]],
     quiet: bool = False,
+    store: Optional[str] = None,
 ) -> None:
-    """The ``--profile`` report: span tree, self-time table, Chrome JSON."""
+    """The ``--profile`` report: span tree, self-time table, Chrome JSON.
+
+    The Chrome JSON lands beside the store's span sink when there is a
+    store, else in the current directory.
+    """
     from repro.obs.profile import format_profile, format_tree, write_chrome_trace
+    from repro.obs.trace import store_sink_path
 
     print(f"trace: {trace_id}")
     print(format_tree(spans))
     print(format_profile(spans))
-    path = write_chrome_trace(Path(f"trace-{trace_id}.json"), spans)
+    folder = Path() if store is None else store_sink_path(store).parent
+    path = write_chrome_trace(folder / f"trace-{trace_id}.json", spans)
     if not quiet:
         print(f"profile: wrote {path} (open in chrome://tracing or Perfetto)")
 
@@ -304,6 +313,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             root_trace.trace_id,
             _merge_spans(root_trace.trace_id),
             quiet=args.quiet,
+            store=args.store,
         )
     return 0
 
@@ -341,24 +351,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.server import serve
+
     try:
-        if args.workers > 1:
-            from repro.service.fleet import serve_fleet
-
-            return serve_fleet(
-                host=args.host,
-                port=args.port,
-                store=args.store,
-                workers=args.workers,
-                shards=args.shards,
-                queue_limit=args.queue_limit,
-                quiet=args.quiet,
-                metrics_digest=args.metrics,
-            )
-        # --workers 1 is the unchanged single-process server: same code
-        # path as before fleet mode existed, byte-identical behavior.
-        from repro.service.server import serve
-
         return serve(
             host=args.host,
             port=args.port,
@@ -406,8 +401,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         from repro.obs import trace as _obs
 
         # The client attaches the ambient trace ref to the submit body, so
-        # router route-spans and worker request/execute spans all land in
-        # this trace; the remote halves are fetched back below.
+        # the server's request/execute spans land in this trace; the remote
+        # half is fetched back below.
         profile_cm = _obs.start_trace(f"submit:{args.target}")
 
     trace_id: Optional[str] = None
@@ -593,10 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes per pipeline run (default 1)")
     srv.add_argument("--queue-limit", type=int, default=32,
                      help="max queued requests before 429 (default 32)")
-    srv.add_argument("--workers", type=int, default=1,
-                     help="worker processes; >1 starts a fleet: a router on "
-                          "--port sharding requests across N single-process "
-                          "servers by result fingerprint (default 1)")
     srv.add_argument("--metrics", action="store_true",
                      help="print a one-line metrics digest every few seconds "
                           "(the full exposition lives on GET /metrics)")
@@ -617,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--no-wait", action="store_true",
                      help="print the queued record instead of waiting")
     sbm.add_argument("--profile", action="store_true",
-                     help="trace the request end to end (client, router, "
-                          "worker) and print the merged span profile")
+                     help="trace the request end to end (client and "
+                          "server) and print the merged span profile")
     add_compute_options(sbm)
     sbm.set_defaults(func=cmd_submit)
 

@@ -5,7 +5,7 @@ Three pillars, wired through every layer of the stack:
 * :mod:`repro.obs.trace` — contextvars-scoped ``Trace``/``Span`` records
   with hash-derived span ids, a bounded in-memory ring and an optional
   JSONL sink next to the artifact store.  Trace ids propagate client →
-  fleet router → worker → broker → pipeline stage → solver/search via the
+  server → broker → pipeline stage → solver/search via the
   ``x-repro-trace`` request field and the optional ``trace_id``/``span_id``
   fields of :class:`~repro.pipeline.events.PipelineEvent`; they never enter
   cache keys or stored payloads, so bit-identity guarantees hold.
@@ -13,8 +13,7 @@ Three pillars, wired through every layer of the stack:
   (counters, gauges, fixed-bucket histograms) rendered as Prometheus text
   on ``GET /metrics``.
 * :mod:`repro.obs.names` — the one canonical table mapping ``/stats``
-  counter keys to metric names, shared by the single-process server and
-  the fleet router's aggregation (the fix for counter-name drift).
+  counter keys to metric names (the fix for counter-name drift).
 * :mod:`repro.obs.profile` — self-time tables and Chrome-trace-format
   exports of recorded span trees (``repro trace show`` / ``--profile``).
 """

@@ -7,8 +7,8 @@ sequence of observations always yields byte-identical ``/metrics`` text.
 
 One process-global registry (:func:`global_registry`) collects
 cross-cutting tallies — retry attempts, journal records — that have no
-natural owner object; the broker and fleet router keep their own
-registries and everything is merged at render time by
+natural owner object; the broker keeps its own registry and everything
+is merged at render time by
 :func:`render_metrics`.
 """
 

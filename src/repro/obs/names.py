@@ -1,14 +1,12 @@
-"""Canonical metric-name tables shared by server and fleet router.
+"""Canonical metric-name tables for the service's ``GET /metrics``.
 
-Historically the broker's ``/stats`` counters (``cache_hits_memory``, ...)
-and the fleet router's aggregation (nested ``cache.l1`` dicts summed with
-ad-hoc keys) drifted apart because each side hand-rolled its own naming.
-This module is the single source of truth: both the single-process
-``GET /metrics`` endpoint and the router's per-worker aggregation build
-their registries through :func:`stats_registry` / :func:`fleet_registry`,
-so a counter exists on one side iff it exists on the other, under the
-same Prometheus family name.  A parity unit test pins the tables to the
-broker's live counter dict.
+The broker's ``/stats`` body names its counters for JSON readers
+(``cache_hits_memory``, nested ``cache.l1`` dicts, ...).  This module is
+the one translation of those keys into Prometheus family names:
+:func:`stats_registry` mirrors a ``/stats`` payload into a registry.  A
+parity unit test pins the tables to the broker's live counter dict, so a
+counter added on one side without the other fails fast instead of
+drifting.
 """
 
 from __future__ import annotations
@@ -63,18 +61,6 @@ QUEUE_GAUGES = {
 
 UPTIME_GAUGE = "repro_uptime_seconds"
 KERNEL_BACKEND_INFO = "repro_kernel_backend_info"
-WORKERS_LIVE_GAUGE = "repro_fleet_workers"
-
-# ``FleetRouter.counters`` key -> Prometheus family.
-ROUTER_COUNTERS = {
-    "routed": "repro_router_routed_total",
-    "rerouted": "repro_router_rerouted_total",
-    "unrouted": "repro_router_unrouted_total",
-    "lost": "repro_router_lost_total",
-    "worker_deaths": "repro_router_worker_deaths_total",
-    "respawns": "repro_router_respawns_total",
-    "drains": "repro_router_drains_total",
-}
 
 _HELP = {
     "repro_requests_submitted_total": "Requests accepted by the broker",
@@ -98,16 +84,8 @@ _HELP = {
     "repro_queue_limit": "Broker queue admission limit",
     "repro_queue_in_flight": "Distinct request keys currently in flight",
     "repro_drain_rate_rps": "Estimated queue drain rate (0.0 until history exists)",
-    "repro_uptime_seconds": "Seconds since the server or router started",
+    "repro_uptime_seconds": "Seconds since the server started",
     "repro_kernel_backend_info": "Active compiled simulation backend (info gauge, always 1)",
-    "repro_fleet_workers": "Workers known to the fleet router",
-    "repro_router_routed_total": "Requests routed to a worker",
-    "repro_router_rerouted_total": "Requests routed past their primary ring owner",
-    "repro_router_unrouted_total": "Requests with no live worker available",
-    "repro_router_lost_total": "Tracked requests lost to a worker death",
-    "repro_router_worker_deaths_total": "Worker processes observed dead",
-    "repro_router_respawns_total": "Worker processes respawned",
-    "repro_router_drains_total": "Workers put into draining state",
 }
 
 
@@ -121,102 +99,37 @@ def _as_number(value: Any) -> Optional[float]:
     return float(value)
 
 
-def stats_registry(
-    stats: Mapping[str, Any],
-    registry: Optional[MetricsRegistry] = None,
-    **labels: str,
-) -> MetricsRegistry:
-    """Mirror one broker ``/stats`` payload into a registry.
+def stats_registry(stats: Mapping[str, Any]) -> MetricsRegistry:
+    """Mirror one broker ``/stats`` payload into a fresh registry."""
 
-    This is the canonical translation used by *both* the single-process
-    server (no labels) and the fleet router (``worker="..."`` labels plus
-    an unlabeled sum), which is what keeps the two sides name-compatible.
-    """
+    registry = MetricsRegistry()
 
-    registry = registry or MetricsRegistry()
+    def mirror(section: Mapping[str, Any], table, kind) -> None:
+        for key, family in table.items():
+            value = _as_number(section.get(key))
+            if value is not None:
+                kind(family, help_for(family)).set(value)
+
     requests = stats.get("requests") or {}
-    for key, family in REQUEST_COUNTERS.items():
-        value = _as_number(requests.get(key))
-        if value is not None:
-            counter = registry.counter(family, help_for(family))
-            counter.set(counter.value(**labels) + value, **labels)
-    for key, family in REQUEST_GAUGES.items():
-        value = _as_number(requests.get(key))
-        if value is not None:
-            gauge = registry.gauge(family, help_for(family))
-            gauge.set(max(gauge.value(**labels), value), **labels)
+    mirror(requests, REQUEST_COUNTERS, registry.counter)
+    mirror(requests, REQUEST_GAUGES, registry.gauge)
     cache = stats.get("cache") or {}
     l1 = cache.get("l1") or {}
-    for key, family in L1_CACHE_COUNTERS.items():
-        value = _as_number(l1.get(key))
-        if value is not None:
-            counter = registry.counter(family, help_for(family))
-            counter.set(counter.value(**labels) + value, **labels)
-    for key, family in L1_CACHE_GAUGES.items():
-        value = _as_number(l1.get(key))
-        if value is not None:
-            gauge = registry.gauge(family, help_for(family))
-            gauge.set(gauge.value(**labels) + value, **labels)
-    # Derive the ratio from the (possibly fleet-summed) counters so the
-    # unlabeled aggregate is hits/lookups over the whole fleet, not a sum
-    # or last-write of per-worker ratios.
-    hits = registry.counter(L1_CACHE_COUNTERS["hits"]).value(**labels)
-    lookups = hits + registry.counter(L1_CACHE_COUNTERS["misses"]).value(**labels)
+    mirror(l1, L1_CACHE_COUNTERS, registry.counter)
+    mirror(l1, L1_CACHE_GAUGES, registry.gauge)
+    hits = _as_number(l1.get("hits")) or 0.0
+    lookups = hits + (_as_number(l1.get("misses")) or 0.0)
     registry.gauge(L1_HIT_RATIO_GAUGE, help_for(L1_HIT_RATIO_GAUGE)).set(
-        round(hits / lookups, 6) if lookups else 0.0, **labels
+        round(hits / lookups, 6) if lookups else 0.0
     )
-    store = cache.get("store") or {}
-    for key, family in STORE_CACHE_COUNTERS.items():
-        value = _as_number(store.get(key))
-        if value is not None:
-            counter = registry.counter(family, help_for(family))
-            counter.set(counter.value(**labels) + value, **labels)
-    queue = stats.get("queue") or {}
-    for key, family in QUEUE_GAUGES.items():
-        value = _as_number(queue.get(key))
-        if value is not None:
-            gauge = registry.gauge(family, help_for(family))
-            gauge.set(gauge.value(**labels) + value, **labels)
+    mirror(cache.get("store") or {}, STORE_CACHE_COUNTERS, registry.counter)
+    mirror(stats.get("queue") or {}, QUEUE_GAUGES, registry.gauge)
     uptime = _as_number(stats.get("uptime_seconds"))
     if uptime is not None:
-        registry.gauge(UPTIME_GAUGE, help_for(UPTIME_GAUGE)).set(uptime, **labels)
+        registry.gauge(UPTIME_GAUGE, help_for(UPTIME_GAUGE)).set(uptime)
     backend = stats.get("kernel_backend")
     if isinstance(backend, str) and backend:
         registry.gauge(KERNEL_BACKEND_INFO, help_for(KERNEL_BACKEND_INFO)).set(
-            1, backend=backend, **labels
+            1, backend=backend
         )
-    return registry
-
-
-def fleet_registry(
-    per_worker: Mapping[str, Optional[Mapping[str, Any]]],
-    router_counters: Mapping[str, Any],
-    uptime_seconds: float,
-) -> MetricsRegistry:
-    """Aggregate worker ``/stats`` payloads plus router tallies.
-
-    Each live worker contributes both an unlabeled sample (summed across
-    the fleet) and a ``worker="name"``-labeled one, through the same
-    canonical table as the single-process server — summed families are
-    therefore exactly the sum of the per-worker samples.
-    """
-
-    registry = MetricsRegistry()
-    live = 0
-    for name, stats in sorted(per_worker.items()):
-        if not isinstance(stats, Mapping):
-            continue
-        live += 1
-        stats_registry(stats, registry)  # fleet-wide sums
-        stats_registry(stats, registry, worker=name)
-    registry.gauge(WORKERS_LIVE_GAUGE, help_for(WORKERS_LIVE_GAUGE)).set(
-        len(per_worker)
-    )
-    registry.gauge(UPTIME_GAUGE, help_for(UPTIME_GAUGE)).set(
-        float(uptime_seconds)
-    )
-    for key, family in ROUTER_COUNTERS.items():
-        value = _as_number(router_counters.get(key))
-        if value is not None:
-            registry.counter(family, help_for(family)).set(value)
     return registry

@@ -15,7 +15,7 @@ wait, pipeline job, optimize stage, kernel batch, ...).  Spans carry:
 Completed spans land in a bounded in-memory ring (queried by the
 ``/trace/<id>`` endpoints and ``--profile``) and, when a sink is
 configured, are appended as single JSONL lines next to the artifact store
-so fleet workers sharing a store directory contribute to one file.
+so every process sharing a store directory contributes to one file.
 
 Tracing is strictly observational: span ids and trace ids never enter
 cache keys, canonical specs, or stored payloads.  When no trace is active
@@ -243,8 +243,8 @@ def maybe_trace(
 ) -> Iterator[Any]:
     """Open a trace scope from a propagated ref, or no-op when absent.
 
-    Used at process boundaries (service worker threads, fleet workers)
-    where the caller's contextvars do not flow across.
+    Used at thread boundaries (service worker threads) where the
+    caller's contextvars do not flow across.
     """
 
     if not trace_ref or not valid_trace_ref(trace_ref):
@@ -318,7 +318,7 @@ def finish_span_record(
 ) -> Dict[str, Any]:
     """Record a completed span with explicit ids and timing.
 
-    Event-loop components (broker, fleet router) time requests with their
+    Event-loop components (the broker) time requests with their
     own clocks and mint span ids up front for propagation; this records
     the finished span without touching the contextvar stack.
     """
@@ -370,7 +370,7 @@ def set_trace_sink(path: Optional[os.PathLike] = None) -> Optional[Path]:
     """Point the JSONL sink at ``path`` (``None`` disables); returns it.
 
     Lines are appended with small single ``write`` calls, so multiple
-    fleet workers sharing one store directory can target the same file.
+    processes sharing one store directory can target the same file.
     """
 
     global _sink_path

@@ -18,13 +18,12 @@ service:
 * :mod:`repro.service.server` — the stdlib asyncio JSON-over-HTTP front
   (``submit`` / ``status`` / ``result`` / ``stats``) with graceful
   SIGINT/SIGTERM draining;
-* :mod:`repro.service.client` — sync and async clients (used by
-  ``python -m repro submit``);
-* :mod:`repro.service.fleet` — multi-process scale-out: a router that
-  shards requests across N worker processes by result fingerprint over a
-  consistent-hash ring (:mod:`repro.service.ring`), with worker health
-  scoring, draining and bounded respawn (``python -m repro serve
-  --workers N``).
+* :mod:`repro.service.client` — the blocking client (used by
+  ``python -m repro submit``).
+
+``python -m repro serve`` is one process running one
+:class:`~repro.service.server.ServiceServer`; ``--shards N`` gives each
+pipeline run N worker processes.
 
 Quickstart::
 
@@ -45,18 +44,10 @@ or programmatically::
 
 from repro.service.broker import Broker, RequestRecord
 from repro.service.client import (
-    AsyncServiceClient,
     RequestFailed,
     ServiceBusy,
     ServiceClient,
     ServiceError,
-    WorkerLost,
-)
-from repro.service.fleet import (
-    FleetRouter,
-    FleetSupervisor,
-    FleetThread,
-    serve_fleet,
 )
 from repro.service.protocol import (
     PreparedRequest,
@@ -65,16 +56,10 @@ from repro.service.protocol import (
     ShuttingDownError,
     prepare_request,
 )
-from repro.service.ring import HashRing
 from repro.service.server import ServerThread, ServiceServer, serve
 
 __all__ = [
-    "AsyncServiceClient",
     "Broker",
-    "FleetRouter",
-    "FleetSupervisor",
-    "FleetThread",
-    "HashRing",
     "PreparedRequest",
     "QueueFullError",
     "RequestError",
@@ -86,8 +71,6 @@ __all__ = [
     "ServiceError",
     "ServiceServer",
     "ShuttingDownError",
-    "WorkerLost",
     "prepare_request",
     "serve",
-    "serve_fleet",
 ]

@@ -539,8 +539,7 @@ class Broker:
                 "busy": self._busy,
                 "retry_after_hint": self.retry_after_hint(),
                 # The drain-rate estimate behind retry_after_hint, exposed so
-                # the fleet router's health scoring (queue depth x per-request
-                # seconds) and humans reading /stats see the same numbers.
+                # /metrics and humans reading /stats see the same numbers.
                 "ema_request_seconds": (
                     None if self._ema_request_seconds is None
                     else round(self._ema_request_seconds, 6)

@@ -1,35 +1,30 @@
-"""Thin clients for the optimization service (sync and async).
+"""Thin blocking client for the optimization service.
 
-:class:`ServiceClient` is the blocking client the CLI uses
-(``python -m repro submit``); :class:`AsyncServiceClient` is the same
-surface over asyncio streams for callers already on an event loop.  Both
-speak the JSON protocol of :mod:`repro.service.server` and expose:
+:class:`ServiceClient` is the client the CLI uses (``python -m repro
+submit``).  It speaks the JSON protocol of :mod:`repro.service.server` and
+exposes:
 
 * ``submit(body)`` / ``submit_run(target, options)`` /
-  ``submit_simulate(...)`` — admission (raises :class:`ServiceBusy` on 429);
+  ``submit_simulate(...)`` — admission (raises :class:`ServiceBusy` on
+  429/503);
 * ``status(id)`` / ``result(id)`` / ``stats()`` — the read endpoints;
 * ``wait(id, on_event=...)`` — poll until done, streaming newly observed
   pipeline events to ``on_event`` (incremental ``events_from`` cursors, so
   each event is delivered exactly once);
 * ``submit_and_wait(...)`` — the one-call convenience the CLI uses.
 
-Resilience: both clients run every exchange under the shared
+Resilience: every exchange runs under the shared
 :data:`~repro.resilience.retry.CLIENT_RETRY` policy (connection drops —
 including injected ``connection`` faults — retry with jittered backoff;
 re-submitting after a dropped response is safe because identical requests
 coalesce server-side), ``wait`` polls on the policy's growing backoff
 schedule instead of a fixed busy interval, and ``submit_and_wait`` honors
-the server's ``retry_after`` hint when shed with a 429 — and equally on a
-503 that carries one (a fleet router whose shard owner is draining or
-respawning: the service is coming back, not going away).  When a router
-reports the worker owning an in-flight request died (:class:`WorkerLost`),
-``submit_and_wait`` re-submits the idempotent, cache-addressed body instead
-of surfacing the error.
+the server's ``retry_after`` hint when shed with a 429.  A 503 means the
+server is draining for good and is never retried.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
 import time
@@ -72,16 +67,6 @@ class ServiceBusy(ServiceError):
         self.retry_after = retry_after
 
 
-class WorkerLost(ServiceBusy):
-    """A fleet router reports the worker owning this request died.
-
-    The worker's in-memory record is gone, but submits are idempotent
-    (cache-addressed, coalesced): re-submitting the same body recovers the
-    request on whichever worker now owns its shard.  ``submit_and_wait``
-    does this automatically.
-    """
-
-
 class RequestFailed(ServiceError):
     """The request executed and failed server-side."""
 
@@ -117,28 +102,14 @@ def _traced_body(body: Mapping[str, Any]) -> Mapping[str, Any]:
 def _raise_for(status: int, payload: Any) -> None:
     message = ""
     retry_after: Optional[float] = None
-    lost = False
     if isinstance(payload, Mapping):
         message = str(payload.get("error", ""))
         hint = payload.get("retry_after")
         if isinstance(hint, (int, float)) and hint > 0:
             retry_after = float(hint)
-        lost = bool(payload.get("lost"))
     if status in (429, 503):
-        if lost:
-            raise WorkerLost(status, message or "worker lost", retry_after)
         raise ServiceBusy(status, message or "service busy", retry_after)
     raise ServiceError(status, message or "request rejected")
-
-
-def _busy_is_retryable(exc: ServiceBusy) -> bool:
-    """Shed submits worth retrying: 429 always (the queue drains), 503 only
-    when the server volunteered a ``retry_after`` (a fleet router covering a
-    draining/respawning worker — a bare 503 means the whole service is going
-    away for good and retrying would just delay the error)."""
-    return exc.status == 429 or (
-        exc.status == 503 and exc.retry_after is not None
-    )
 
 
 class ServiceClient:
@@ -260,8 +231,8 @@ class ServiceClient:
         in order — the polling consumer of the server's event stream.
 
         Polling backs off on the retry policy's growing (jittered) schedule
-        — quick first checks, settling at the policy's ``max_delay`` — so a
-        fleet of waiting clients does not busy-hammer the status endpoint.
+        — quick first checks, settling at the policy's ``max_delay`` — so many
+        waiting clients do not busy-hammer the status endpoint.
         Pass ``poll_interval`` to force a fixed cadence instead.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -301,49 +272,27 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Submit with backpressure backoff, then wait for the result.
 
-        A shed submit retries up to the policy's attempt count, sleeping the
-        server's ``retry_after`` hint when one came back (the server knows
-        its own backlog) and the policy's jittered backoff otherwise.  This
-        covers 429 (queue full) and 503s that carry a hint (a fleet router
-        whose shard owner is draining or respawning); a bare 503 — the whole
-        service going away — is not retried.
-
-        If the wait ends with :class:`WorkerLost` (a fleet worker died with
-        the request in flight), the idempotent body is re-submitted: the
-        router routes it to the shard's new owner and nothing is dropped.
+        A 429 (queue full) retries up to the policy's attempt count,
+        sleeping the server's ``retry_after`` hint when one came back (the
+        server knows its own backlog) and the policy's jittered backoff
+        otherwise.  A 503 — the server draining for good — is not retried.
         """
-        for round_ in range(self.retry.attempts):
-            record = None
-            for attempt in range(self.retry.attempts):
-                try:
-                    record = self.submit(body)
-                    break
-                except ServiceBusy as exc:
-                    if (not _busy_is_retryable(exc)
-                            or attempt == self.retry.attempts - 1):
-                        raise
-                    pause = (
-                        exc.retry_after
-                        if exc.retry_after is not None
-                        else self.retry.delay(attempt, salt="submit-busy")
-                    )
-                    time.sleep(pause)
-            assert record is not None
+        for attempt in range(self.retry.attempts):
             try:
-                if record.get("status") == "done":
-                    return self.result(record["id"])
-                return self.wait(record["id"], timeout=timeout,
-                                 on_event=on_event)
-            except WorkerLost as exc:
-                if round_ == self.retry.attempts - 1:
+                record = self.submit(body)
+                break
+            except ServiceBusy as exc:
+                if exc.status != 429 or attempt == self.retry.attempts - 1:
                     raise
                 pause = (
                     exc.retry_after
                     if exc.retry_after is not None
-                    else self.retry.delay(round_, salt="worker-lost")
+                    else self.retry.delay(attempt, salt="submit-busy")
                 )
                 time.sleep(pause)
-        raise RuntimeError("resubmit loop fell through")  # pragma: no cover
+        if record.get("status") == "done":
+            return self.result(record["id"])
+        return self.wait(record["id"], timeout=timeout, on_event=on_event)
 
     def wait_until_healthy(self, timeout: float = 30.0) -> None:
         deadline = time.monotonic() + timeout
@@ -354,198 +303,3 @@ class ServiceClient:
         raise TimeoutError(
             f"service at {self.host}:{self.port} not healthy after {timeout}s"
         )
-
-
-class AsyncServiceClient:
-    """The same surface over asyncio streams (for event-loop callers)."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8642,
-        timeout: float = 600.0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry if retry is not None else CLIENT_RETRY
-
-    async def _request(self, method: str, path: str, body: Any = None) -> Any:
-        status = raw = None
-        for attempt in range(self.retry.attempts):
-            try:
-                _faults.check("connection", f"{method} {path}", attempt)
-                # One timeout over the whole exchange (connect, write,
-                # read): a server stalling after the status line must not
-                # hang the caller.
-                status, raw = await asyncio.wait_for(
-                    self._exchange(method, path, body), timeout=self.timeout
-                )
-                break
-            except _TRANSIENT:
-                if attempt == self.retry.attempts - 1:
-                    raise
-                await asyncio.sleep(
-                    self.retry.delay(attempt, salt=f"{method}:{path}")
-                )
-        data = json.loads(raw.decode("utf-8")) if raw else None
-        if status == 202:
-            return data
-        if status >= 400:
-            _raise_for(status, data)
-        return data
-
-    async def _exchange(self, method: str, path: str, body: Any):
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            payload = b"" if body is None else json.dumps(body).encode("utf-8")
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("latin-1") + payload)
-            await writer.drain()
-
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(" ", 2)
-            status = int(parts[1]) if len(parts) > 1 else 500
-            length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip() or 0)
-            raw = await reader.readexactly(length) if length else b""
-            return status, raw
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    async def submit(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        return await self._request("POST", "/submit", _traced_body(body))
-
-    async def submit_run(
-        self,
-        target: str,
-        options: Optional[Mapping[str, Any]] = None,
-        deadline: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        return await self.submit(
-            _run_body(target, options, deadline)
-        )
-
-    async def submit_simulate(self, scenario: str, **spec: Any) -> Dict[str, Any]:
-        return await self.submit(
-            {"kind": "simulate", "scenario": scenario, **spec}
-        )
-
-    async def status(
-        self, request_id: str, events_from: int = 0
-    ) -> Dict[str, Any]:
-        path = f"/status/{request_id}"
-        if events_from:
-            path += f"?events_from={events_from}"
-        return await self._request("GET", path)
-
-    async def result(self, request_id: str) -> Dict[str, Any]:
-        return await self._request("GET", f"/result/{request_id}")
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self._request("GET", "/stats")
-
-    async def metrics(self) -> str:
-        """The service's ``/metrics`` endpoint as Prometheus text."""
-        status, raw = await asyncio.wait_for(
-            self._exchange("GET", "/metrics", None), timeout=self.timeout
-        )
-        if status >= 400:
-            raise ServiceError(status, "metrics unavailable")
-        return raw.decode("utf-8")
-
-    async def trace_spans(self, trace_id: str) -> Dict[str, Any]:
-        """Recorded spans of one trace."""
-        return await self._request("GET", f"/trace/{trace_id}")
-
-    async def wait(
-        self,
-        request_id: str,
-        timeout: Optional[float] = None,
-        poll_interval: Optional[float] = None,
-        on_event: Optional[OnEvent] = None,
-    ) -> Dict[str, Any]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        cursor = 0
-        delays = (
-            itertools.repeat(float(poll_interval))
-            if poll_interval is not None
-            else self.retry.poll_delays(salt=f"wait:{request_id}")
-        )
-        for delay in delays:
-            status = await self.status(request_id, events_from=cursor)
-            events = status.get("events", [])
-            if on_event is not None:
-                for event in events:
-                    on_event(event)
-            cursor = int(status.get("events_seen", cursor + len(events)))
-            state = status.get("status")
-            if state == "done":
-                return await self.result(request_id)
-            if state == "failed":
-                raise RequestFailed(500, str(status.get("error", "failed")))
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"request {request_id} still {state!r} after {timeout}s"
-                )
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline - time.monotonic()))
-            await asyncio.sleep(delay)
-        raise RuntimeError("poll schedule ended")  # pragma: no cover
-
-    async def submit_and_wait(
-        self,
-        body: Mapping[str, Any],
-        timeout: Optional[float] = None,
-        on_event: Optional[OnEvent] = None,
-    ) -> Dict[str, Any]:
-        for round_ in range(self.retry.attempts):
-            record = None
-            for attempt in range(self.retry.attempts):
-                try:
-                    record = await self.submit(body)
-                    break
-                except ServiceBusy as exc:
-                    if (not _busy_is_retryable(exc)
-                            or attempt == self.retry.attempts - 1):
-                        raise
-                    pause = (
-                        exc.retry_after
-                        if exc.retry_after is not None
-                        else self.retry.delay(attempt, salt="submit-busy")
-                    )
-                    await asyncio.sleep(pause)
-            assert record is not None
-            try:
-                if record.get("status") == "done":
-                    return await self.result(record["id"])
-                return await self.wait(record["id"], timeout=timeout,
-                                       on_event=on_event)
-            except WorkerLost as exc:
-                if round_ == self.retry.attempts - 1:
-                    raise
-                pause = (
-                    exc.retry_after
-                    if exc.retry_after is not None
-                    else self.retry.delay(round_, salt="worker-lost")
-                )
-                await asyncio.sleep(pause)
-        raise RuntimeError("resubmit loop fell through")  # pragma: no cover

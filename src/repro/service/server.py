@@ -24,7 +24,9 @@ no chunking).  Endpoints:
 ========================  ====================================================
 
 Any endpoint answers 400 to a ``Content-Length`` that is not a
-non-negative integer and 408 to a request not complete within
+non-negative integer, 431 to a request-head line longer than
+:data:`MAX_LINE_BYTES` or a head of more than :data:`MAX_HEADER_LINES`
+header lines, and 408 to a request not complete within
 :data:`READ_TIMEOUT_S`.
 
 Shutdown: the first SIGINT/SIGTERM stops admission (new submits get 503),
@@ -35,6 +37,7 @@ then exits 0.  A second signal aborts hard and the process exits nonzero.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 import signal
@@ -56,6 +59,7 @@ _REASONS = {
     404: "Not Found",
     408: "Request Timeout",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -66,6 +70,12 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds a client gets to deliver one complete request; a connection that
 #: stalls longer is answered 408 instead of pinning a handler forever.
 READ_TIMEOUT_S = 30.0
+
+#: Longest accepted request-head line (request line included), in bytes.
+MAX_LINE_BYTES = 8 * 1024
+
+#: Most header lines accepted in one request head.
+MAX_HEADER_LINES = 100
 
 
 class FramingError(Exception):
@@ -85,13 +95,14 @@ async def read_request(
 ) -> Optional[Tuple[str, str, Any]]:
     """Read one HTTP/1.1 request; returns (method, path, parsed JSON body).
 
-    Shared by the single-process server and the fleet router (both speak
-    the same tiny close-delimited JSON dialect).  Oversized or malformed
-    bodies come back as ``{"__oversized__"|"__malformed__": True}`` markers
-    so the caller can answer 400 instead of resetting the connection.
-    Unreadable framing raises :class:`FramingError`: 400 for a
-    ``Content-Length`` that is not a non-negative integer, 408 when the
-    request is not complete within :data:`READ_TIMEOUT_S`.
+    The server speaks a tiny close-delimited JSON dialect.  Oversized or
+    malformed bodies come back as ``{"__oversized__"|"__malformed__": True}``
+    markers so the caller can answer 400 instead of resetting the
+    connection.  Unreadable framing raises :class:`FramingError`: 400 for a
+    ``Content-Length`` that is not a non-negative integer, 431 for a head
+    line over :data:`MAX_LINE_BYTES` or more than :data:`MAX_HEADER_LINES`
+    header lines, 408 when the request is not complete within
+    :data:`READ_TIMEOUT_S`.
     """
     try:
         return await asyncio.wait_for(_read_framed(reader), READ_TIMEOUT_S)
@@ -101,10 +112,26 @@ async def read_request(
         ) from None
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request-head line (``b""`` at EOF), capped at MAX_LINE_BYTES."""
+    try:
+        line = await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        line = exc.partial
+    except asyncio.LimitOverrunError:
+        # Longer than the stream's own buffer limit, so longer than ours.
+        line = None
+    if line is None or len(line) > MAX_LINE_BYTES:
+        raise FramingError(
+            431, f"request-head line longer than {MAX_LINE_BYTES} bytes"
+        )
+    return line
+
+
 async def _read_framed(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Any]]:
-    request_line = await reader.readline()
+    request_line = await _read_line(reader)
     if not request_line.strip():
         return None
     try:
@@ -112,10 +139,14 @@ async def _read_framed(
     except ValueError:
         return None
     headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
+    for count in itertools.count():
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
+        if count == MAX_HEADER_LINES:
+            raise FramingError(
+                431, f"more than {MAX_HEADER_LINES} header lines"
+            )
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     declared = headers.get("content-length") or "0"
@@ -173,7 +204,7 @@ def trace_endpoint(trace_id: str) -> Tuple[int, Any]:
 
     Merges the process-local ring with the JSONL sink (ring entries win on
     id collisions — they are the freshest copy), so a span survives either
-    ring eviction or a missing sink.  Shared by server and fleet router.
+    ring eviction or a missing sink.
     """
     if not _trace.valid_trace_ref(trace_id) or "/" in trace_id:
         return 400, {"error": f"invalid trace id {trace_id!r}"}
@@ -226,9 +257,8 @@ class ServiceServer:
 
     async def start(self) -> None:
         if self.broker.store is not None:
-            # Traced spans persist next to the artifact store, where fleet
-            # workers sharing the store directory append to the same file
-            # and `repro trace show --store` can read them later.
+            # Traced spans persist next to the artifact store, where
+            # `repro trace show --store` can read them later.
             _trace.set_trace_sink(
                 _trace.store_sink_path(self.broker.store.root)
             )

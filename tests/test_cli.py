@@ -76,6 +76,44 @@ class TestRun:
             main(["run", "figure1a", "--param", "alpha0.9", "--quiet"])
 
 
+class TestProfileArtifact:
+    RUN = ["run", "figure1a", "--param", "alpha=0.9", "--cycles", "500",
+           "--epsilon", "0.2", "--quiet", "--profile"]
+
+    @pytest.fixture(autouse=True)
+    def no_global_sink(self):
+        from repro.obs.trace import set_trace_sink
+
+        yield
+        set_trace_sink(None)  # --profile --store points it at the store
+
+    @staticmethod
+    def _trace_id(out):
+        return next(
+            line.split(": ", 1)[1]
+            for line in out.splitlines() if line.startswith("trace: ")
+        )
+
+    def test_run_profile_with_store_writes_beside_the_sink(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        store = tmp_path / "store"
+        assert main(self.RUN + ["--store", str(store)]) == 0
+        trace_id = self._trace_id(capsys.readouterr().out)
+        assert not list(tmp_path.glob("trace-*.json"))
+        artifact = store / "traces" / f"trace-{trace_id}.json"
+        assert json.loads(artifact.read_text())["traceEvents"]
+
+    def test_run_profile_without_store_writes_to_cwd(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.RUN) == 0
+        trace_id = self._trace_id(capsys.readouterr().out)
+        assert (tmp_path / f"trace-{trace_id}.json").is_file()
+
+
 class TestRunReportRoundtrip:
     def test_output_and_report(self, tmp_path, capsys):
         result_file = tmp_path / "result.json"

@@ -2,8 +2,8 @@
 
 Covers the trace API (span trees, deterministic ids, the JSONL sink), the
 stdlib metrics registry and its Prometheus rendering, the canonical
-counter-name tables shared by the server and the fleet router (the parity
-the tables exist to enforce), and the end-to-end properties: a single trace
+counter-name tables (pinned to the broker's live counters), and the
+end-to-end properties: a single trace
 id observable across client, broker and pipeline, and tracing that changes
 no result, cache key or artifact.
 """
@@ -170,62 +170,53 @@ class TestMetricsRegistry:
 
 class TestNameParity:
     def test_tables_cover_broker_counters_exactly(self):
-        """The drift guard: one key set, shared by broker and router."""
+        """The drift guard: one key set for the broker and the tables."""
         broker_keys = set(Broker().counters)
         table_keys = set(names.REQUEST_COUNTERS) | set(names.REQUEST_GAUGES)
         assert broker_keys == table_keys
-
-    def test_router_counter_table_matches_fleet(self):
-        from repro.service.fleet import FleetRouter, FleetSupervisor
-
-        router = FleetRouter(FleetSupervisor(workers=1))
-        assert set(router.counters) == set(names.ROUTER_COUNTERS)
 
     def test_every_family_has_help(self):
         for table in (
             names.REQUEST_COUNTERS, names.REQUEST_GAUGES,
             names.L1_CACHE_COUNTERS, names.L1_CACHE_GAUGES,
             names.STORE_CACHE_COUNTERS, names.QUEUE_GAUGES,
-            names.ROUTER_COUNTERS,
         ):
             for family in table.values():
                 assert names.help_for(family), family
 
-    def test_fleet_sums_equal_per_worker_samples(self):
-        """Unlabeled fleet families are exactly the sum of worker samples."""
-        def stats(submitted, hits, misses, depth):
-            requests = {key: submitted for key in names.REQUEST_COUNTERS}
-            requests["max_batch_lanes"] = submitted
-            return {
-                "uptime_seconds": 1.0,
-                "kernel_backend": "c",
-                "requests": requests,
-                "queue": {"depth": depth, "limit": 32, "in_flight": 0,
-                          "drain_rate_rps": 0.0},
-                "cache": {
-                    "l1": {"hits": hits, "misses": misses, "size": hits,
-                           "maxsize": 128},
-                    "store": {"hits": 0, "misses": misses},
-                },
-            }
-
-        per_worker = {"w0": stats(3, 2, 1, 1), "w1": stats(5, 0, 4, 2)}
-        registry = names.fleet_registry(per_worker, {"routed": 8}, 9.0)
-        parsed = parse_metrics(registry.render())
-        for family in list(names.REQUEST_COUNTERS.values()) + [
-            names.L1_CACHE_COUNTERS["hits"], names.QUEUE_GAUGES["depth"],
-        ]:
-            samples = parsed[family]
-            labeled = sum(value for key, value in samples.items() if key)
-            assert samples[()] == labeled, family
-        # gauges that must NOT sum: max batch lanes max-merges...
-        assert parsed[names.REQUEST_GAUGES["max_batch_lanes"]][()] == 5
-        # ...and the hit ratio derives from summed counters (2 hits / 7)
-        ratio = parsed[names.L1_HIT_RATIO_GAUGE][()]
-        assert ratio == pytest.approx(2 / 7, abs=1e-6)
-        assert parsed[names.ROUTER_COUNTERS["routed"]][()] == 8
-        assert parsed[names.WORKERS_LIVE_GAUGE][()] == 2
-        assert parsed[names.UPTIME_GAUGE][()] == 9.0
+    def test_stats_registry_mirrors_one_payload(self):
+        """Every table entry becomes one unlabeled sample of its value."""
+        requests = {
+            key: index + 1
+            for index, key in enumerate(names.REQUEST_COUNTERS)
+        }
+        requests["max_batch_lanes"] = 5
+        stats = {
+            "uptime_seconds": 9.0,
+            "kernel_backend": "c",
+            "requests": requests,
+            "queue": {"depth": 2, "limit": 32, "in_flight": 1,
+                      "drain_rate_rps": 0.5},
+            "cache": {
+                "l1": {"hits": 2, "misses": 5, "size": 2, "maxsize": 128},
+                "store": {"hits": 1, "misses": 4},
+            },
+        }
+        parsed = parse_metrics(names.stats_registry(stats).render())
+        for key, family in names.REQUEST_COUNTERS.items():
+            assert parsed[family] == {(): requests[key]}, family
+        assert parsed[names.REQUEST_GAUGES["max_batch_lanes"]] == {(): 5}
+        assert parsed[names.L1_CACHE_COUNTERS["misses"]] == {(): 5}
+        assert parsed[names.L1_CACHE_GAUGES["maxsize"]] == {(): 128}
+        assert parsed[names.STORE_CACHE_COUNTERS["hits"]] == {(): 1}
+        assert parsed[names.QUEUE_GAUGES["drain_rate_rps"]] == {(): 0.5}
+        assert parsed[names.L1_HIT_RATIO_GAUGE][()] == pytest.approx(
+            2 / 7, abs=1e-6
+        )
+        assert parsed[names.UPTIME_GAUGE] == {(): 9.0}
+        assert parsed[names.KERNEL_BACKEND_INFO] == {
+            (("backend", "c"),): 1
+        }
 
     def test_hit_ratio_zero_without_lookups(self):
         registry = names.stats_registry({"cache": {"l1": {"hits": 0, "misses": 0}}})

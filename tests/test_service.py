@@ -13,10 +13,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.presets import RunOptions, run_preset
 from repro.experiments.reporting import render_event_json
 from repro.pipeline.events import PipelineEvent
+from repro.resilience.retry import RetryPolicy
 from repro.service import (
     Broker,
     RequestError,
@@ -479,30 +482,6 @@ class TestHttpEndToEnd:
         with pytest.raises(RequestFailed):
             client.wait(record["id"], timeout=60)
 
-    def test_async_client_matches_sync(self, live_server):
-        from repro.service import AsyncServiceClient
-
-        server, sync_client = live_server
-        body = {**SIM_BODY, "seed": 123}
-
-        async def drive():
-            client = AsyncServiceClient(port=server.port, timeout=120)
-            events = []
-            document = await client.submit_and_wait(
-                body, timeout=120, on_event=events.append
-            )
-            stats = await client.stats()
-            # Error surfaces behave like the sync client's.
-            with pytest.raises(ServiceError) as info:
-                await client.submit({"kind": "run", "target": "nope"})
-            assert info.value.status == 400
-            return document, stats
-
-        document, stats = asyncio.run(drive())
-        expected = sync_client.submit_and_wait(dict(body), timeout=120)
-        assert document["result"] == expected["result"]
-        assert stats["requests"]["submitted"] >= 2
-
     def test_stats_shape(self, live_server):
         _, client = live_server
         stats = client.stats()
@@ -510,9 +489,9 @@ class TestHttpEndToEnd:
         assert stats["queue"]["limit"] == 8
         assert stats["requests"]["submitted"] >= 1
         assert stats["cache"]["l1"]["maxsize"] == 256
-        # The drain-rate estimate behind the 429 retry_after hint (and the
-        # fleet router's health score) is published, not private: after at
-        # least one completed request the EMA and its rps reciprocal exist.
+        # The drain-rate estimate behind the 429 retry_after hint is
+        # published, not private: after at least one completed request the
+        # EMA and its rps reciprocal exist.
         queue = stats["queue"]
         assert "ema_request_seconds" in queue
         assert "drain_rate_rps" in queue
@@ -552,6 +531,55 @@ class TestServiceBusySurface:
                         client.submit(body)
         finally:
             release.set()
+
+    def test_submit_and_wait_retries_429_after_its_hint(self, monkeypatch):
+        client = ServiceClient(port=1, retry=_fast_retry())
+        attempts, pauses = [], []
+
+        def fake_submit(body):
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise ServiceBusy(429, "queue full", retry_after=0.25)
+            return {"id": "req", "status": "done"}
+
+        client.submit = fake_submit
+        client.result = lambda rid: {"id": rid, "status": "done", "result": 7}
+        monkeypatch.setattr("repro.service.client.time.sleep", pauses.append)
+        document = client.submit_and_wait(dict(RUN_BODY))
+        assert document["result"] == 7
+        assert len(attempts) == 3
+        assert pauses == [0.25, 0.25]  # the server's hint, not the backoff
+
+    def test_bare_503_is_not_retried(self):
+        client = ServiceClient(port=1, retry=_fast_retry())
+        attempts = []
+
+        def fake_submit(body):
+            attempts.append(1)
+            raise ServiceBusy(503, "shutting down", retry_after=None)
+
+        client.submit = fake_submit
+        with pytest.raises(ServiceBusy):
+            client.submit_and_wait(dict(RUN_BODY))
+        assert len(attempts) == 1  # draining for good: fail fast
+
+    def test_draining_server_503_is_not_retried(self):
+        with ServerThread() as server:
+            client = ServiceClient(port=server.port, retry=_fast_retry())
+            client.wait_until_healthy()
+            # What the first SIGTERM does to admission, without the exit.
+            server.server.broker._accepting = False
+            calls = []
+            submit = client.submit
+            client.submit = lambda body: calls.append(body) or submit(body)
+            with pytest.raises(ServiceBusy) as info:
+                client.submit_and_wait(dict(RUN_BODY))
+            assert info.value.status == 503
+            assert len(calls) == 1
+
+
+def _fast_retry() -> RetryPolicy:
+    return RetryPolicy(attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
 
 def _raw_exchange(port, payload, timeout=10.0):
@@ -596,3 +624,124 @@ class TestRequestFraming:
                 assert "within" in body["error"]
                 assert time.monotonic() - started < 5.0
             ServiceClient(port=server.port, timeout=10).wait_until_healthy()
+
+    def test_overlong_head_line_is_431(self, live_server):
+        server, client = live_server
+        for request in (
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /healthz?" + b"a" * 9_000 + b" HTTP/1.1\r\n\r\n",
+        ):
+            status, body = _raw_exchange(server.port, request)
+            assert status == 431
+            assert "8192 bytes" in body["error"]
+        client.wait_until_healthy()
+
+    def test_header_count_is_capped_at_100(self, live_server):
+        server, client = live_server
+
+        def request(count):
+            headers = b"".join(b"X-%d: v\r\n" % i for i in range(count))
+            return b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+
+        assert _raw_exchange(server.port, request(100))[0] == 200
+        status, body = _raw_exchange(server.port, request(101))
+        assert status == 431
+        assert "100 header lines" in body["error"]
+        client.wait_until_healthy()
+
+
+_FUZZ_METHODS = ["GET", "POST", "PUT", "get", "", "G\x00T"]
+#: Every route but /shutdown, plus near-misses and bad parameters.
+_FUZZ_PATHS = [
+    "/healthz", "/stats", "/metrics", "/submit", "/status/req-1",
+    "/status/req-1?events_from=zz", "/result/req-1", "/trace/abc",
+    "/trace/../x", "/", "/nope", "*", "",
+]
+_FUZZ_BODIES = [
+    b"", b"{}", b"[]", b"null", b"{not json", "é".encode("latin-1"),
+    b'{"kind": "run"}', b'{"kind": "run", "target": "no-such-target"}',
+    b'{"kind": "simulate", "scenario": "nope"}',
+    b'{"kind": "simulate", "scenario": "figure2", "cycles": 60, "seed": 5}',
+]
+
+
+@st.composite
+def _raw_requests(draw):
+    """Request-ish bytes: a head, headers, a Content-Length and a body,
+    each drawn from plausible and hostile values, plus random noise."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=512))
+    newline = draw(st.sampled_from([b"\r\n", b"\n"]))
+    line = " ".join([
+        draw(st.sampled_from(_FUZZ_METHODS) | st.text(max_size=6)),
+        draw(st.sampled_from(_FUZZ_PATHS) | st.text(max_size=30)),
+        draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "", "HTTP/9"])),
+    ])
+    body = draw(st.sampled_from(_FUZZ_BODIES) | st.binary(max_size=128))
+    headers = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["Host", "Content-Type", "X-A", ""])
+            | st.text(max_size=10),
+            st.text(max_size=20),
+        ),
+        max_size=6,
+    ))
+    length = draw(
+        st.just(str(len(body)))
+        | st.integers(-3, 300).map(str)
+        | st.sampled_from(["", " 2", "1e3", "0x10", "²"])
+        | st.none()
+    )
+    if length is not None:
+        headers.insert(draw(st.integers(0, len(headers))),
+                       ("Content-Length", length))
+    head = newline.join(
+        [line.encode("utf-8")]
+        + [f"{name}: {value}".encode("utf-8") for name, value in headers]
+    )
+    payload = head + newline + newline + body
+    noise = draw(st.binary(max_size=32))
+    cut = draw(st.integers(0, len(payload)))
+    return payload[:cut] + noise + payload[cut:] if noise else payload
+
+
+class TestRequestFuzz:
+    def test_raw_bytes_get_2xx_or_4xx_and_a_closed_socket(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server.READ_TIMEOUT_S", 0.5)
+        limit = 0.5 + 2.0
+        with ServerThread() as server:
+            client = ServiceClient(port=server.port, timeout=10)
+            client.wait_until_healthy()
+
+            @settings(
+                max_examples=80,
+                deadline=None,
+                suppress_health_check=[HealthCheck.too_slow],
+            )
+            @given(payload=_raw_requests(), half_close=st.booleans())
+            def probe(payload, half_close):
+                assume(b"/shutdown" not in payload.lower())
+                started = time.monotonic()
+                reply = b""
+                with socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=limit
+                ) as sock:
+                    try:
+                        sock.sendall(payload)
+                        if half_close:
+                            sock.shutdown(socket.SHUT_WR)
+                        while True:
+                            chunk = sock.recv(65536)
+                            if not chunk:
+                                break
+                            reply += chunk
+                    except ConnectionResetError:
+                        pass  # closed without a reply: allowed
+                assert time.monotonic() - started < limit
+                if reply:
+                    status = int(reply.split(b" ", 2)[1])
+                    assert 200 <= status < 300 or 400 <= status < 500, reply
+                assert client.healthy()
+
+            probe()
+            client.wait_until_healthy()
