@@ -44,7 +44,11 @@ from repro.lp.errors import InfeasibleError, SolverError
 
 @dataclass
 class MilpSettings:
-    """Knobs shared by the two MILPs.
+    """Settings shared by the two MILPs.
+
+    Consecutive solves of one :class:`MilpWorkspace` always reuse the
+    previous basis (the pure backend re-solves dual-simplex from it; scipy
+    ignores it).
 
     Attributes:
         backend: LP/MILP backend ("auto", "scipy" or "pure").
@@ -55,15 +59,12 @@ class MilpSettings:
         buffer_penalty: Tiny objective weight on the total buffer count, used
             only to break ties towards configurations without gratuitous
             buffers; set to 0.0 to reproduce the paper's objective exactly.
-        warm_start: Reuse bases between consecutive solves of the same
-            workspace (pure backend only; scipy ignores it).
     """
 
     backend: str = "auto"
     time_limit: Optional[float] = None
     max_buffers_per_edge: Optional[int] = None
     buffer_penalty: float = 1e-6
-    warm_start: bool = True
 
 
 @dataclass
@@ -222,11 +223,10 @@ class MilpWorkspace:
         return _ProgramState(model, lags, buffers, knob=tau_budget, aux=x)
 
     def _solve(self, state: _ProgramState) -> Solution:
-        warm = state.basis if self.settings.warm_start else None
         solution = state.model.solve(
             backend=self.settings.backend,
             time_limit=self.settings.time_limit,
-            warm_start=warm,
+            warm_start=state.basis,
         )
         if solution.basis is not None:
             state.basis = solution.basis

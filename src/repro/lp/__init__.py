@@ -8,10 +8,10 @@ package provides the equivalent substrate built from scratch:
 * a backend that compiles models to :func:`scipy.optimize.linprog` and
   :func:`scipy.optimize.milp` (HiGHS),
 * a pure-Python fallback solver used when scipy is unavailable or for
-  cross-checking: a bounded-variable revised simplex with warm starts
-  (:class:`RevisedSimplexSolver`) under a best-first branch and bound whose
-  nodes re-solve dual-simplex from the parent basis, plus the original dense
-  tableau (:class:`SimplexSolver`) kept as a reference implementation.
+  cross-checking: one bounded-variable revised simplex with warm starts
+  (:class:`RevisedSimplexSolver`), which solves plain LPs directly and, under
+  a best-first branch and bound (:class:`BranchAndBoundSolver`), re-solves
+  every node dual-simplex from the parent basis.
 
 Typical usage::
 
@@ -39,7 +39,6 @@ from repro.lp.errors import (
     UnboundedError,
 )
 from repro.lp.scipy_backend import ScipyBackend
-from repro.lp.simplex import SimplexSolver
 from repro.lp.revised_simplex import (
     BasisState,
     PreparedLP,
@@ -70,7 +69,6 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "ScipyBackend",
-    "SimplexSolver",
     "SimplexResult",
     "BranchAndBoundSolver",
     "PureBackend",

@@ -47,6 +47,12 @@ from repro.lp.revised_simplex import (
 from repro.lp.solution import SolveStatus
 
 _INTEGRALITY_TOL = 1e-6
+#: Node budget; a solve that reaches it reports its incumbent as FEASIBLE.
+_MAX_NODES = 100000
+#: Relative gap below which a node is fathomed.
+_MIP_GAP = 1e-6
+#: Fractional candidates whose children are solved before branching.
+_STRONG_BRANCHING = 4
 
 
 @dataclass
@@ -64,8 +70,9 @@ class MilpResult:
     """Outcome of a branch-and-bound solve.
 
     Attributes:
-        status: OPTIMAL, INFEASIBLE, UNBOUNDED or ERROR.
-        x: Incumbent point (``None`` unless optimal).
+        status: OPTIMAL, FEASIBLE (a node or time limit stopped the search
+            with an incumbent), INFEASIBLE, UNBOUNDED or ERROR.
+        x: Incumbent point (``None`` unless OPTIMAL or FEASIBLE).
         objective: Incumbent objective value.
         nodes_explored: Number of LP relaxations solved.
         lp_iterations: Total simplex iterations summed over every node, the
@@ -85,41 +92,20 @@ class MilpResult:
 class BranchAndBoundSolver:
     """Minimise ``c @ x`` subject to linear constraints with integer variables.
 
-    The search is best-first on the relaxation bound.  Branching selects the
-    integer variable whose fractional part is closest to 0.5 (most-fractional
-    rule), which works well on the small retiming models this repository
-    produces.
+    The search is plunging best-first on the relaxation bound, every node
+    warm-started from its parent's basis.  Branching is strong branching over
+    the most fractional candidates (see the module docstring); relaxations
+    use a :class:`RevisedSimplexSolver` with Devex pricing, which lands on
+    markedly better-branching vertices than Dantzig on the retiming models.
 
     Args:
-        max_nodes: Node budget before giving up.
-        mip_gap: Relative gap below which a node is fathomed.
-        time_limit: Optional wall-clock limit in seconds.
-        simplex: LP engine to use; defaults to a fresh
-            :class:`RevisedSimplexSolver` with Devex pricing (which lands on
-            markedly better-branching vertices than Dantzig on the retiming
-            models).
-        warm_start: Re-solve child nodes from the parent basis (dual simplex)
-            instead of cold-starting.  Disable only for measurements.
-        strong_branching: Number of fractional candidates whose children are
-            solved before committing to a branching variable (0 disables
-            strong branching and falls back to most-fractional).
+        time_limit: Optional wall-clock limit in seconds.  A search stopped
+            by it (or by the node budget) reports its incumbent as FEASIBLE.
     """
 
-    def __init__(
-        self,
-        max_nodes: int = 100000,
-        mip_gap: float = 1e-6,
-        time_limit: Optional[float] = None,
-        simplex: Optional[RevisedSimplexSolver] = None,
-        warm_start: bool = True,
-        strong_branching: int = 4,
-    ) -> None:
-        self.max_nodes = max_nodes
-        self.mip_gap = mip_gap
+    def __init__(self, time_limit: Optional[float] = None) -> None:
         self.time_limit = time_limit
-        self.simplex = simplex or RevisedSimplexSolver(pricing="devex")
-        self.warm_start = warm_start
-        self.strong_branching = strong_branching
+        self.simplex = RevisedSimplexSolver(pricing="devex")
 
     def solve(
         self,
@@ -148,9 +134,8 @@ class BranchAndBoundSolver:
         lp_iterations = 0
 
         def relax(node: _Node) -> SimplexResult:
-            seed = node.basis if self.warm_start else None
             return self.simplex.solve_prepared(
-                prep, node.lower, node.upper, basis=seed
+                prep, node.lower, node.upper, basis=node.basis
             )
 
         root = _Node(
@@ -171,6 +156,7 @@ class BranchAndBoundSolver:
         best_x: Optional[np.ndarray] = None
         best_objective = math.inf
         nodes = 1
+        stopped = False
 
         # Fix-and-solve rounding heuristic: fix the integers to their rounded
         # root values, re-solve the continuous remainder from the root basis.
@@ -185,7 +171,7 @@ class BranchAndBoundSolver:
         def cutoff() -> float:
             if not math.isfinite(best_objective):
                 return math.inf
-            return best_objective - self.mip_gap * max(1.0, abs(best_objective))
+            return best_objective - _MIP_GAP * max(1.0, abs(best_objective))
 
         current: Optional[tuple] = (root_result.objective, root, root_result)
         while True:
@@ -201,9 +187,11 @@ class BranchAndBoundSolver:
             current = None
             if bound >= cutoff():
                 continue
-            if nodes >= self.max_nodes:
-                break
-            if self.time_limit is not None and time.monotonic() - start > self.time_limit:
+            if nodes >= _MAX_NODES or (
+                self.time_limit is not None
+                and time.monotonic() - start > self.time_limit
+            ):
+                stopped = True
                 break
 
             x = result.x
@@ -218,11 +206,10 @@ class BranchAndBoundSolver:
             # Strong branching: solve both children of the leading candidates
             # and commit to the variable whose *worst* child bound is largest
             # (most pruning power).  The winning children are reused below.
-            limit = max(1, self.strong_branching)
             best_children = None
             best_score = -math.inf
             fathomed = False
-            for index, value in candidates[:limit]:
+            for index, value in candidates[:_STRONG_BRANCHING]:
                 floor_value = math.floor(value)
                 children = []
                 child_bounds = []
@@ -259,7 +246,7 @@ class BranchAndBoundSolver:
                 if score > best_score:
                     best_score = score
                     best_children = children
-                if nodes >= self.max_nodes:
+                if nodes >= _MAX_NODES:
                     break
 
             if fathomed or best_children is None:
@@ -271,20 +258,12 @@ class BranchAndBoundSolver:
                 heapq.heappush(heap, (entry[0], next(counter), entry[1], entry[2]))
 
         if best_x is None:
-            # Exhausted the tree without an integer point; if we stopped early
-            # report an error, otherwise the instance is integer-infeasible.
-            if nodes >= self.max_nodes or (
-                self.time_limit is not None
-                and time.monotonic() - start > self.time_limit
-            ):
-                return MilpResult(
-                    SolveStatus.ERROR, None, None, nodes, lp_iterations, root_basis
-                )
-            return MilpResult(
-                SolveStatus.INFEASIBLE, None, None, nodes, lp_iterations, root_basis
-            )
+            # No integer point: an exhausted tree proves integer
+            # infeasibility, a stopped one proves nothing.
+            status = SolveStatus.ERROR if stopped else SolveStatus.INFEASIBLE
+            return MilpResult(status, None, None, nodes, lp_iterations, root_basis)
         return MilpResult(
-            SolveStatus.OPTIMAL,
+            SolveStatus.FEASIBLE if stopped else SolveStatus.OPTIMAL,
             best_x,
             best_objective,
             nodes,
@@ -316,8 +295,9 @@ class BranchAndBoundSolver:
         fixed = np.clip(fixed, lo_int, hi_int)
         lower[integer_mask] = fixed
         upper[integer_mask] = fixed
-        seed = root_result.basis if self.warm_start else None
-        result = self.simplex.solve_prepared(prep, lower, upper, basis=seed)
+        result = self.simplex.solve_prepared(
+            prep, lower, upper, basis=root_result.basis
+        )
         if result.status is not SolveStatus.OPTIMAL:
             return None, result.iterations
         return (result.objective, self._rounded(result.x, integer_mask)), result.iterations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,11 +227,6 @@ class Model:
         self._invalidate()
         return constraint
 
-    def add_constrs(self, constraints: Iterable[Constraint], prefix: str = "") -> None:
-        """Register several constraints, optionally sharing a name prefix."""
-        for i, constraint in enumerate(constraints):
-            self.add_constr(constraint, name=f"{prefix}{i}" if prefix else "")
-
     @property
     def constraints(self) -> List[Constraint]:
         """All registered constraints."""
@@ -401,7 +396,6 @@ class Model:
         self,
         backend: str = "auto",
         time_limit: Optional[float] = None,
-        mip_gap: float = 1e-6,
         warm_start: Optional[object] = None,
     ) -> Solution:
         """Solve the model and return a :class:`Solution`.
@@ -411,7 +405,6 @@ class Model:
                 "scipy", or "pure".
             time_limit: Optional wall-clock limit in seconds, passed to the
                 backend when it supports one.
-            mip_gap: Relative MIP gap used by the branch-and-bound fallback.
             warm_start: A previous :class:`Solution` (or its ``basis``) of a
                 structurally identical model; the pure backend re-solves from
                 that basis with the dual simplex when only bounds/RHS changed.
@@ -424,15 +417,18 @@ class Model:
         if chosen == "scipy":
             from repro.lp.scipy_backend import ScipyBackend
 
-            return ScipyBackend(time_limit=time_limit).solve(form)
-        if chosen == "pure":
+            solver = ScipyBackend(time_limit=time_limit)
+        elif chosen == "pure":
             from repro.lp.pure_backend import PureBackend
 
-            basis = getattr(warm_start, "basis", warm_start)
-            return PureBackend(time_limit=time_limit, mip_gap=mip_gap).solve(
-                form, warm_basis=basis
-            )
-        raise SolverError(f"unknown backend {backend!r}")
+            solver = PureBackend(time_limit=time_limit)
+        else:
+            raise SolverError(f"unknown backend {backend!r}")
+        if form.num_variables == 0:
+            return _constant_model_solution(form, solver.name)
+        if chosen == "scipy":
+            return solver.solve(form)
+        return solver.solve(form, warm_basis=getattr(warm_start, "basis", warm_start))
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -462,6 +458,21 @@ class Model:
 
     def __repr__(self) -> str:
         return f"<{self.summary()}>"
+
+
+def _constant_model_solution(form: StandardForm, backend: str) -> Solution:
+    """Solve a model without variables, the same way for every backend.
+
+    It is feasible iff its constant rows hold (``add_constr`` already dropped
+    the ones that do); its objective is the constant term.
+    """
+    infeasible = bool(np.any(form.b_ub < -1e-12)) or bool(
+        np.any(np.abs(form.b_eq) > 1e-12)
+    )
+    if infeasible:
+        return Solution(SolveStatus.INFEASIBLE, backend=backend)
+    objective = -form.c0 if form.maximize else form.c0
+    return Solution(SolveStatus.OPTIMAL, objective=objective, values={}, backend=backend)
 
 
 def _scipy_available() -> bool:

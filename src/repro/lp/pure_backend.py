@@ -7,7 +7,7 @@ from typing import Optional
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.model import StandardForm
 from repro.lp.revised_simplex import BasisState, RevisedSimplexSolver
-from repro.lp.solution import Solution, SolveStatus
+from repro.lp.solution import Solution
 
 
 class PureBackend:
@@ -23,45 +23,16 @@ class PureBackend:
 
     name = "pure-python"
 
-    def __init__(
-        self,
-        time_limit: Optional[float] = None,
-        mip_gap: float = 1e-6,
-        max_nodes: int = 100000,
-        warm_start: bool = True,
-    ) -> None:
+    def __init__(self, time_limit: Optional[float] = None) -> None:
         self.time_limit = time_limit
-        self.mip_gap = mip_gap
-        self.max_nodes = max_nodes
-        self.warm_start = warm_start
 
     def solve(
         self, form: StandardForm, warm_basis: Optional[BasisState] = None
     ) -> Solution:
-        """Solve a compiled :class:`StandardForm` and return a Solution."""
-        if form.num_variables == 0:
-            import numpy as np
-
-            infeasible = form.b_ub.size > 0 and bool(np.any(form.b_ub < -1e-12))
-            infeasible = infeasible or (
-                form.b_eq.size > 0 and bool(np.any(np.abs(form.b_eq) > 1e-12))
-            )
-            if infeasible:
-                return Solution(SolveStatus.INFEASIBLE, backend=self.name)
-            objective = -form.c0 if form.maximize else form.c0
-            return Solution(
-                SolveStatus.OPTIMAL, objective=objective, values={}, backend=self.name
-            )
-
+        """Solve a compiled :class:`StandardForm` with at least one variable."""
         nodes = 0
-        basis = None
         if form.has_integers:
-            solver = BranchAndBoundSolver(
-                max_nodes=self.max_nodes,
-                mip_gap=self.mip_gap,
-                time_limit=self.time_limit,
-                warm_start=self.warm_start,
-            )
+            solver = BranchAndBoundSolver(time_limit=self.time_limit)
             result = solver.solve(
                 form.c,
                 form.a_ub,
@@ -71,46 +42,37 @@ class PureBackend:
                 form.lower,
                 form.upper,
                 form.integer_mask,
-                basis=warm_basis if self.warm_start else None,
+                basis=warm_basis,
                 prep=form.prepared_lp(),
             )
-            x = result.x
-            objective = result.objective
             iterations = result.lp_iterations
             nodes = result.nodes_explored
-            basis = result.basis
         else:
-            simplex = RevisedSimplexSolver()
-            lp_result = simplex.solve_prepared(
-                form.prepared_lp(),
-                form.lower,
-                form.upper,
-                basis=warm_basis if self.warm_start else None,
+            result = RevisedSimplexSolver().solve_prepared(
+                form.prepared_lp(), form.lower, form.upper, basis=warm_basis
             )
-            result = lp_result
-            x = lp_result.x
-            objective = lp_result.objective
-            iterations = lp_result.iterations
-            basis = lp_result.basis
+            iterations = result.iterations
 
-        if result.status is not SolveStatus.OPTIMAL or x is None:
+        # x is set exactly when the solver has a point: OPTIMAL, or FEASIBLE
+        # when branch and bound stopped on a limit with an incumbent.
+        if result.x is None:
             return Solution(
                 result.status,
                 backend=self.name,
                 iterations=iterations,
                 nodes=nodes,
-                basis=basis,
+                basis=result.basis,
             )
 
-        values = {var: float(x[i]) for i, var in enumerate(form.variables)}
-        raw = float(objective) + form.c0
+        values = {var: float(result.x[i]) for i, var in enumerate(form.variables)}
+        raw = float(result.objective) + form.c0
         signed = -raw if form.maximize else raw
         return Solution(
-            SolveStatus.OPTIMAL,
+            result.status,
             objective=signed,
             values=values,
             backend=self.name,
             iterations=iterations,
             nodes=nodes,
-            basis=basis,
+            basis=result.basis,
         )

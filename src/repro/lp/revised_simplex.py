@@ -1,12 +1,10 @@
 """Bounded-variable revised simplex with primal/dual warm starts.
 
-This is the LP core of the pure backend.  Compared to the dense two-phase
-tableau kept in :mod:`repro.lp.simplex` (the reference implementation used
-for cross-checks) it
+This is the LP engine of the pure backend, for plain LPs and for every
+branch-and-bound node.  It
 
 * handles finite variable bounds natively in the ratio test — no split free
-  variables and no extra ``<=`` rows for upper bounds, which shrinks the
-  working matrix by up to 2x on the retiming models,
+  variables and no extra ``<=`` rows for upper bounds,
 * keeps an explicit basis inverse, updated by rank-1 (eta) pivots and
   refactorised periodically to bound numerical drift,
 * prices entering variables with Dantzig or Devex rules and falls back to
@@ -49,6 +47,14 @@ FREE = 3  # nonbasic free variable, held at zero
 _PIVOT_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
 _BLAND_TRIGGER = 30
+#: Pivot cap per solve, all phases combined.
+_MAX_ITERATIONS = 50000
+#: Reduced-cost (dual) and ratio-test tolerance.
+_TOLERANCE = 1e-9
+#: Primal bound-violation tolerance.
+_FEASIBILITY_TOL = 1e-7
+#: Eta updates between basis refactorisations, bounding numerical drift.
+_REFACTOR_EVERY = 100
 
 
 @dataclass
@@ -85,7 +91,7 @@ class BasisState:
             ``basic`` for the same constraint matrix.
         age: Rank-1 (eta) updates applied to ``binv`` since it was last
             factorised from scratch; warm starts refactorise when this
-            exceeds the solver's refactorisation period.
+            reaches the refactorisation period.
     """
 
     basic: np.ndarray
@@ -236,31 +242,16 @@ class RevisedSimplexSolver:
     """Revised simplex for LPs with general bounds, warm-startable.
 
     Args:
-        max_iterations: Pivot cap per solve (all phases combined).
-        tolerance: Reduced-cost (dual) tolerance.
-        feasibility_tol: Primal bound-violation tolerance.
-        pricing: "dantzig" (most negative reduced cost), "devex"
-            (steepest-edge-family reference weights) or "bland" (least index,
-            slow but cycle-proof).  Dantzig and Devex both fall back to
-            Bland's rule automatically after a run of degenerate pivots.
-        refactor_every: Pivots between basis refactorisations.
+        pricing: "dantzig" (most negative reduced cost; plain LPs) or
+            "devex" (steepest-edge-family reference weights; branch and
+            bound).  Both fall back to Bland's least-index rule after a run
+            of degenerate pivots, which restores the anti-cycling guarantee.
     """
 
-    def __init__(
-        self,
-        max_iterations: int = 50000,
-        tolerance: float = 1e-9,
-        feasibility_tol: float = 1e-7,
-        pricing: str = "dantzig",
-        refactor_every: int = 100,
-    ) -> None:
-        if pricing not in ("dantzig", "devex", "bland"):
+    def __init__(self, pricing: str = "dantzig") -> None:
+        if pricing not in ("dantzig", "devex"):
             raise ValueError(f"unknown pricing rule {pricing!r}")
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.feasibility_tol = feasibility_tol
         self.pricing = pricing
-        self.refactor_every = refactor_every
 
     # -- public API ---------------------------------------------------------
 
@@ -296,7 +287,7 @@ class RevisedSimplexSolver:
         upper = np.asarray(upper, dtype=float)
         if prep.n == 0:
             return SimplexResult(SolveStatus.OPTIMAL, np.zeros(0), 0.0, 0)
-        if np.any(lower > upper + self.feasibility_tol):
+        if np.any(lower > upper + _FEASIBILITY_TOL):
             return SimplexResult(SolveStatus.INFEASIBLE, None, None, 0)
         if prep.m == 0:
             return self._solve_box_only(prep, lower, upper)
@@ -382,7 +373,7 @@ class RevisedSimplexSolver:
         if (
             basis.binv is not None
             and basis.binv.shape == (state.prep.m, state.prep.m)
-            and basis.age < self.refactor_every
+            and basis.age < _REFACTOR_EVERY
         ):
             # Inherit the factorised inverse from the parent solve instead of
             # paying an O(m^3) inversion per warm start.
@@ -402,7 +393,7 @@ class RevisedSimplexSolver:
 
         if warm:
             primal_infeas = self._primal_infeasibility(state)
-            if primal_infeas <= self.feasibility_tol:
+            if primal_infeas <= _FEASIBILITY_TOL:
                 status, iters = self._primal(state, phase1=False)
                 iterations += iters
             elif self._dual_feasible(state):
@@ -441,12 +432,12 @@ class RevisedSimplexSolver:
 
     def _phase1_then_2(self, state: _State) -> Tuple[SolveStatus, int]:
         iterations = 0
-        if self._primal_infeasibility(state) > self.feasibility_tol:
+        if self._primal_infeasibility(state) > _FEASIBILITY_TOL:
             status, iters = self._primal(state, phase1=True)
             iterations += iters
             if status is not SolveStatus.OPTIMAL:
                 return status, iterations
-            if self._primal_infeasibility(state) > self.feasibility_tol:
+            if self._primal_infeasibility(state) > _FEASIBILITY_TOL:
                 return SolveStatus.INFEASIBLE, iterations
         status, iters = self._primal(state, phase1=False)
         return status, iterations + iters
@@ -468,7 +459,7 @@ class RevisedSimplexSolver:
 
     def _dual_feasible(self, state: _State) -> bool:
         r = self._reduced_costs(state)
-        tol = max(self.tolerance, 1e-7)
+        tol = max(_TOLERANCE, 1e-7)
         bad_lo = (state.vstat == AT_LOWER) & (r < -tol)
         bad_hi = (state.vstat == AT_UPPER) & (r > tol)
         bad_free = (state.vstat == FREE) & (np.abs(r) > tol)
@@ -481,7 +472,7 @@ class RevisedSimplexSolver:
         bland: bool,
     ) -> Tuple[int, int]:
         """Return (column, direction) of the entering variable, or (-1, 0)."""
-        tol = self.tolerance
+        tol = _TOLERANCE
         fixed = state.lo == state.hi
         prof_lo = (state.vstat == AT_LOWER) & (r < -tol)
         prof_hi = (state.vstat == AT_UPPER) & (r > tol)
@@ -490,7 +481,7 @@ class RevisedSimplexSolver:
         candidates = np.nonzero(mask)[0]
         if candidates.size == 0:
             return -1, 0
-        if bland or self.pricing == "bland":
+        if bland:
             j = int(candidates[0])
         elif self.pricing == "devex":
             scores = r[candidates] ** 2 / state.devex[candidates]
@@ -518,7 +509,7 @@ class RevisedSimplexSolver:
         state.binv[row] = br
         state.pivots += 1
         state.age += 1
-        if state.age >= self.refactor_every:
+        if state.age >= _REFACTOR_EVERY:
             return state.refactorize()
         return True
 
@@ -542,11 +533,11 @@ class RevisedSimplexSolver:
     def _primal(self, state: _State, phase1: bool) -> Tuple[SolveStatus, int]:
         """Primal iterations; phase 1 minimises the sum of bound violations."""
         prep = state.prep
-        ftol = self.feasibility_tol
-        bland = self.pricing == "bland"
+        ftol = _FEASIBILITY_TOL
+        bland = False
         degenerate_run = 0
 
-        for iteration in range(self.max_iterations):
+        for iteration in range(_MAX_ITERATIONS):
             lb = state.lo[state.basic]
             ub = state.hi[state.basic]
             below = state.xB < lb - ftol
@@ -626,8 +617,8 @@ class RevisedSimplexSolver:
                     bland = True
             else:
                 degenerate_run = 0
-                bland = self.pricing == "bland"
-        return SolveStatus.ERROR, self.max_iterations
+                bland = False
+        return SolveStatus.ERROR, _MAX_ITERATIONS
 
     def _primal_ratio(
         self,
@@ -647,7 +638,7 @@ class RevisedSimplexSolver:
         blocking variable lands on, or ``row = -1`` when nothing blocks.
         """
         m = delta.shape[0]
-        tol = self.tolerance
+        tol = _TOLERANCE
         steps = np.full(m, math.inf)
         hits = np.zeros(m, dtype=np.int8)
         feasible = ~(below | above)
@@ -694,12 +685,12 @@ class RevisedSimplexSolver:
     def _dual(self, state: _State) -> Tuple[SolveStatus, int]:
         """Dual simplex from a dual-feasible basis; used for warm starts."""
         prep = state.prep
-        ftol = self.feasibility_tol
+        ftol = _FEASIBILITY_TOL
         fixed = state.lo == state.hi
         degenerate_run = 0
         bland = False
 
-        for iteration in range(self.max_iterations):
+        for iteration in range(_MAX_ITERATIONS):
             lb = state.lo[state.basic]
             ub = state.hi[state.basic]
             viol_lo = np.where(np.isfinite(lb), lb - state.xB, -math.inf)
@@ -757,4 +748,4 @@ class RevisedSimplexSolver:
             else:
                 degenerate_run = 0
                 bland = False
-        return SolveStatus.ERROR, self.max_iterations
+        return SolveStatus.ERROR, _MAX_ITERATIONS

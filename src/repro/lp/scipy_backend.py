@@ -25,28 +25,12 @@ class ScipyBackend:
         self.time_limit = time_limit
 
     def solve(self, form: StandardForm) -> Solution:
-        """Solve a compiled :class:`StandardForm` and return a Solution."""
-        if form.num_variables == 0:
-            return self._empty_model_solution(form)
+        """Solve a compiled :class:`StandardForm` with at least one variable."""
         if form.has_integers:
             return self._solve_milp(form)
         return self._solve_lp(form)
 
     # -- helpers -----------------------------------------------------------
-
-    def _empty_model_solution(self, form: StandardForm) -> Solution:
-        # A model with no variables is feasible iff it has no (infeasible)
-        # constant constraints; compile() already dropped the feasible ones.
-        infeasible = form.a_ub.shape[0] > 0 and np.any(form.b_ub < -1e-12)
-        infeasible = infeasible or (
-            form.a_eq.shape[0] > 0 and np.any(np.abs(form.b_eq) > 1e-12)
-        )
-        if infeasible:
-            return Solution(SolveStatus.INFEASIBLE, backend=self.name)
-        objective = -form.c0 if form.maximize else form.c0
-        return Solution(
-            SolveStatus.OPTIMAL, objective=objective, values={}, backend=self.name
-        )
 
     def _solve_lp(self, form: StandardForm) -> Solution:
         from scipy.optimize import linprog

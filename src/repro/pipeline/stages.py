@@ -123,7 +123,6 @@ class OptimizeParams:
     time_limit: Optional[float] = None
     max_buffers_per_edge: Optional[int] = None
     buffer_penalty: float = 1e-6
-    warm_start: bool = True
     optimizer: str = "milp"
     time_budget: Optional[float] = None
     search_seed: int = 0
@@ -149,7 +148,6 @@ class OptimizeParams:
             time_limit=settings.time_limit,
             max_buffers_per_edge=settings.max_buffers_per_edge,
             buffer_penalty=settings.buffer_penalty,
-            warm_start=settings.warm_start,
         )
 
     def settings(self) -> MilpSettings:
@@ -158,7 +156,6 @@ class OptimizeParams:
             time_limit=self.time_limit,
             max_buffers_per_edge=self.max_buffers_per_edge,
             buffer_penalty=self.buffer_penalty,
-            warm_start=self.warm_start,
         )
 
 

@@ -275,7 +275,6 @@ def _run_milp_member(
         time_limit=per_solve,
         max_buffers_per_edge=settings.max_buffers_per_edge,
         buffer_penalty=settings.buffer_penalty,
-        warm_start=settings.warm_start,
     )
     started = time.perf_counter()
     deadline = started + time_share

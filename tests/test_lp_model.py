@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from repro.lp import Model, ObjectiveSense, SolveStatus
+from repro.lp import (
+    Constraint,
+    ConstraintSense,
+    LinExpr,
+    Model,
+    ObjectiveSense,
+    SolveStatus,
+)
 from repro.lp.errors import ModelError
 
 
@@ -169,7 +176,12 @@ class TestSolutionObject:
             solution.value("x")  # type: ignore[arg-type]
 
     def test_empty_model_is_optimal(self):
-        model = Model("empty")
-        solution = model.solve()
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(0.0)
+        # Models without variables never reach a backend, so "scipy" gives
+        # the same answer whether or not scipy is installed.
+        for backend in ("auto", "scipy", "pure"):
+            model = Model("empty")
+            solution = model.solve(backend=backend)
+            assert solution.status is SolveStatus.OPTIMAL
+            assert solution.objective == pytest.approx(0.0)
+            model.add_constr(Constraint(LinExpr({}, 1.0), ConstraintSense.LE))
+            assert model.solve(backend=backend).status is SolveStatus.INFEASIBLE

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.lp import Model, SolveStatus
 from repro.lp.branch_and_bound import BranchAndBoundSolver
-from repro.lp.simplex import SimplexSolver
+from repro.lp.revised_simplex import RevisedSimplexSolver
 
 BACKENDS = ("scipy", "pure")
 
@@ -150,6 +150,27 @@ class TestMixedIntegerPrograms:
         # Best is n = 4 (cost 4) vs n = 3 + x = 0.4 (cost 3.8).
         assert solution.objective == pytest.approx(3.8, abs=1e-6)
 
+    def test_stopped_search_reports_feasible_not_optimal(self):
+        # Two integer variables are unbounded on one side, so branch and
+        # bound cannot exhaust the tree before the time limit; the true
+        # optimum is 5.0 (HiGHS), far from what 0.5 s of search finds.
+        model = Model("limit", sense="max")
+        v0 = model.add_var("v0", lb=-1, ub=6, vtype="integer")
+        v1 = model.add_var("v1", lb=-3, ub=None, vtype="integer")
+        v2 = model.add_var("v2", lb=-1, ub=4)
+        v3 = model.add_var("v3", lb=None, ub=3, vtype="integer")
+        v4 = model.add_var("v4", lb=-4, ub=1, vtype="integer")
+        v5 = model.add_var("v5", lb=0, ub=4, vtype="integer")
+        model.add_constr(v0 - 2 * v1 + 3 * v2 + 2 * v3 - v4 + 2 * v5 <= 3)
+        model.add_constr(3 * v0 + 3 * v1 + 4 * v2 + 4 * v3 <= 7)
+        model.add_constr(-2 * v0 - 3 * v1 - 2 * v2 - 3 * v3 + v4 - 3 * v5 == 7)
+        model.add_constr(3 * v1 - v3 + v5 >= -8)
+        model.set_objective(-3 * v2 + 2 * v4 - 2 * v5)
+        solution = model.solve(backend="pure", time_limit=0.5)
+        assert solution.status is SolveStatus.FEASIBLE
+        assert solution.has_point
+        assert model.check_solution(solution)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_negative_lower_bound_integers(self, backend):
         model = Model("milp", sense="min")
@@ -162,7 +183,7 @@ class TestMixedIntegerPrograms:
 
 class TestRawSolvers:
     def test_simplex_direct_call(self):
-        solver = SimplexSolver()
+        solver = RevisedSimplexSolver()
         result = solver.solve(
             c=np.array([-1.0, -1.0]),
             a_ub=np.array([[1.0, 1.0]]),
@@ -176,7 +197,7 @@ class TestRawSolvers:
         assert result.objective == pytest.approx(-4.0)
 
     def test_simplex_empty_problem(self):
-        solver = SimplexSolver()
+        solver = RevisedSimplexSolver()
         result = solver.solve(
             c=np.zeros(0),
             a_ub=np.zeros((0, 0)),

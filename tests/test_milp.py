@@ -7,12 +7,14 @@ from repro.core.milp import MilpSettings, max_throughput, min_cycle_time
 from repro.core.throughput import configuration_throughput_bound
 from repro.gmg.lp_bound import throughput_upper_bound
 from repro.lp.errors import InfeasibleError
+from repro.retiming.leiserson_saxe import leiserson_saxe_min_period
 from repro.workloads.examples import (
     figure1a_rrg,
     figure2_expected_throughput,
     figure2_rrg,
     unbalanced_fork_join,
 )
+from repro.workloads.random_rrg import random_rrg
 
 
 class TestConfigurationThroughputBound:
@@ -83,6 +85,19 @@ class TestMinCyc:
             two_node_loop, x=1.0, settings=MilpSettings(backend="pure")
         )
         assert outcome.cycle_time == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("backend", ["pure", "scipy"])
+    def test_x_equal_one_matches_leiserson_saxe_on_random_graphs(self, backend):
+        # Without early evaluation MIN_CYC(1) is min-period retiming, so the
+        # classic Leiserson-Saxe algorithm is an independent oracle.
+        settings = MilpSettings(backend=backend)
+        for seed in range(30):
+            nodes = 3 + seed % 4
+            rrg = random_rrg(nodes, nodes + 1 + seed % 3, seed=seed)
+            rrg = rrg.as_late_evaluation()
+            period, _ = leiserson_saxe_min_period(rrg)
+            outcome = min_cycle_time(rrg, x=1.0, settings=settings)
+            assert outcome.cycle_time == pytest.approx(period, abs=1e-6), seed
 
 
 class TestMaxThr:
