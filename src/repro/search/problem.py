@@ -200,16 +200,16 @@ class SearchProblem:
 
     def throughput(self, state: SearchState) -> float:
         """Measured throughput of the state via the compiled engine."""
-        tokens = state.token_vector()
-        buffers = state.buffer_vector()
         key = _sim_cache.throughput_key(
-            self.fingerprint, self.mode, tokens, buffers,
+            self.fingerprint, self.mode, state.tokens, state.buffers,
             self.cycles, self.warmup, self.seed,
         )
         hit = _sim_cache.cached_throughput(key)
         if hit is not None:
             return hit
-        model = self.template.instantiate(tokens, buffers)
+        model = self.template.instantiate(
+            state.token_vector(), state.buffer_vector()
+        )
         value = float(
             _sim_batch.run_models(
                 [model], [self.seed], self.cycles, self.warmup
@@ -367,15 +367,13 @@ class SearchProblem:
 
     def _throughput_batch(self, states: Sequence[SearchState]) -> List[float]:
         """Throughputs of many states: cache, dedupe, then one batched run."""
-        keys = []
-        for state in states:
-            keys.append(
-                _sim_cache.throughput_key(
-                    self.fingerprint, self.mode,
-                    state.token_vector(), state.buffer_vector(),
-                    self.cycles, self.warmup, self.seed,
-                )
+        keys = [
+            _sim_cache.throughput_key(
+                self.fingerprint, self.mode, state.tokens, state.buffers,
+                self.cycles, self.warmup, self.seed,
             )
+            for state in states
+        ]
         values: Dict[Tuple, float] = {}
         miss_keys: List[Tuple] = []
         miss_lanes: List[int] = []

@@ -13,8 +13,11 @@ Two layers of reuse keep Pareto sweeps cheap:
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.rrg import RRG
 from repro.sim.engine import (
@@ -46,9 +49,47 @@ def rrg_fingerprint(rrg: RRG) -> Tuple:
     return (rrg.name, nodes, edges)
 
 
-def vector_key(vector: Mapping[int, int]) -> Tuple[Tuple[int, int], ...]:
-    """Hashable form of a per-edge token/buffer vector."""
-    return tuple(sorted((int(k), int(v)) for k, v in vector.items()))
+class _EdgePairs(dict):
+    """Interned ``(edge, count)`` key pairs of one edge index, by count."""
+
+    __slots__ = ("edge",)
+
+    def __init__(self, edge: int) -> None:
+        super().__init__()
+        self.edge = edge
+
+    def __missing__(self, count) -> Tuple[int, int]:
+        pair = self[count] = (self.edge, int(count))
+        return pair
+
+
+#: One pair table per edge index, grown on demand (under the lock, so
+#: table ``i`` always holds edge ``i``).  A dense key is then a tuple of
+#: shared pairs: no per-edge tuple allocation (and no garbage collector
+#: churn) per cache probe.
+_EDGE_PAIRS: List[_EdgePairs] = []
+_EDGE_PAIRS_LOCK = threading.Lock()
+
+
+def vector_key(
+    vector: Union[Mapping[int, int], Sequence[int]]
+) -> Tuple[Tuple[int, int], ...]:
+    """Hashable form of a per-edge token/buffer vector.
+
+    Takes the sparse ``{edge: count}`` form or the dense per-edge sequence
+    (numpy ints allowed).  A dense vector gives the key of its dict with
+    every edge present, ``((0, c0), (1, c1), ...)`` of plain ints, so both
+    forms share in-memory and persistent cache entries.
+    """
+    if isinstance(vector, Mapping):
+        return tuple(sorted((int(k), int(v)) for k, v in vector.items()))
+    tables = _EDGE_PAIRS
+    if len(tables) < len(vector):
+        with _EDGE_PAIRS_LOCK:
+            tables.extend(
+                _EdgePairs(edge) for edge in range(len(tables), len(vector))
+            )
+    return tuple(map(dict.__getitem__, tables, vector))
 
 
 class LruCache:
@@ -149,8 +190,8 @@ def compiled_template_for(
 def throughput_key(
     fingerprint: Tuple,
     mode: str,
-    tokens: Mapping[int, int],
-    buffers: Mapping[int, int],
+    tokens: Union[Mapping[int, int], Sequence[int]],
+    buffers: Union[Mapping[int, int], Sequence[int]],
     cycles: int,
     warmup: int,
     seed: Optional[int],

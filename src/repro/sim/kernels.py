@@ -24,10 +24,12 @@ reason in :func:`kernel_info`.
 
 Bit-identical RNG: guard draws must consume the stream of one fresh
 ``random.Random(seed)`` in exactly the reference order (cycle start, early
-node order, only when no guard is held).  The kernel cannot call back into
-python per draw, so uniforms are pre-drawn in chunks into a buffer; the
-kernel consumes them sequentially and returns for a refill when the buffer
-cannot cover a cycle's worst case.
+node order, only when no guard is held).  The kernel carries CPython's
+MT19937 itself: each lane is seeded with the 624 state words and the index
+of ``random.Random(seed).getstate()``, and every draw is ``random()``'s
+53-bit construction from two 32-bit outputs, so the kernel consumes exactly
+the uniforms the reference consumes, bit for bit, and never returns to
+python mid-run.
 """
 
 from __future__ import annotations
@@ -49,8 +51,13 @@ _ENV_VAR = "REPRO_SIM_KERNEL"
 _CACHE_ENV_VAR = "REPRO_SIM_KERNEL_CACHE"
 _BACKENDS = ("auto", "c", "python")
 
-#: Pre-drawn guard uniforms per refill chunk.
-_UNIFORM_CHUNK = 1 << 15
+#: Compiler flags of the shared object; part of its cache name.  No
+#: ``-march=native`` (the cache may be shared across machines) and no
+#: ``-ffast-math`` (results must stay bit-identical to python).
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+
+#: Words of MT19937 state (CPython's ``N``).
+_MT_WORDS = 624
 
 
 # -- the generated C kernel ----------------------------------------------------
@@ -60,39 +67,93 @@ _UNIFORM_CHUNK = 1 << 15
 # worklist order, same threshold crossings, same guard-draw positions), so
 # markings, firings and RNG consumption are bit-identical.
 #
-# State is carried in the arrays plus ``io``: ``io[0]`` the cycle counter,
-# ``io[1]`` the uniform cursor, ``io[2]`` the persistent ready-list length.
-# Returns 0 after ``max_cycles`` cycles, or 1 when the uniform buffer cannot
-# cover another cycle (caller refills and re-invokes).
+# The structure arrays come in one ``Plan`` (built once per ``KernelPlan``);
+# lane state is carried in the arrays plus ``io``: ``io[0]`` the cycle
+# counter, ``io[1]`` the MT19937 index into ``mt``, ``io[2]`` the persistent
+# ready-list length.  One call runs ``warmup + cycles`` cycles and copies
+# ``firings`` into ``baseline`` at the warm-up boundary.
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 typedef int64_t I64;
 
-I64 repro_sim_kernel(
-    I64 max_cycles, I64 num_nodes, I64 num_edges, I64 num_early, I64 depth,
-    const I64 *cons, const I64 *in_ptr, const I64 *in_idx,
-    const I64 *out_ptr, const I64 *out_idx,
-    const I64 *early_nodes, const I64 *early_slot,
-    const I64 *guard_ptr, const I64 *guard_edges,
-    const double *guard_cumw, const double *guard_total, const I64 *guard_hi,
+typedef struct {
+    I64 num_nodes, num_edges, num_early;
+    const I64 *cons, *in_ptr, *in_idx, *out_ptr, *out_idx;
+    const I64 *early_nodes, *early_slot;
+    const I64 *guard_ptr, *guard_edges;
+    const double *guard_cumw, *guard_total;
+    const I64 *guard_hi;
+} Plan;
+
+/* CPython's MT19937 (Modules/_randommodule.c): genrand_uint32 ... */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t genrand_uint32(uint32_t *mt, I64 *index)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (*index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* ... and random(): a 53-bit float from two outputs. */
+static double random_random(uint32_t *mt, I64 *index)
+{
+    uint32_t a = genrand_uint32(mt, index) >> 5;
+    uint32_t b = genrand_uint32(mt, index) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+void repro_sim_kernel(
+    const Plan *plan, I64 warmup, I64 cycles, I64 depth,
     const I64 *latency,
-    I64 *marking, I64 *deficit, I64 *pending, I64 *firings,
+    I64 *marking, I64 *deficit, I64 *pending, I64 *firings, I64 *baseline,
     I64 *ring_count, I64 *ring_edges,
     I64 *queue, I64 *next_ready, I64 *fired_cycle,
-    const double *uniforms, I64 u_len, I64 *io)
+    uint32_t *mt, I64 *io)
 {
+    const I64 num_nodes = plan->num_nodes;
+    const I64 num_edges = plan->num_edges;
+    const I64 num_early = plan->num_early;
+    const I64 *cons = plan->cons;
+    const I64 *in_ptr = plan->in_ptr, *in_idx = plan->in_idx;
+    const I64 *out_ptr = plan->out_ptr, *out_idx = plan->out_idx;
+    const I64 *early_nodes = plan->early_nodes;
+    const I64 *early_slot = plan->early_slot;
+    const I64 *guard_ptr = plan->guard_ptr, *guard_edges = plan->guard_edges;
+    const double *guard_cumw = plan->guard_cumw;
+    const double *guard_total = plan->guard_total;
+    const I64 *guard_hi = plan->guard_hi;
     I64 cycle = io[0];
-    I64 u_index = io[1];
+    I64 mt_index = io[1];
     I64 nr_len = io[2];
-    I64 done = 0;
-    (void)num_nodes;
-    while (done < max_cycles) {
-        if (num_early > 0 && u_index + num_early > u_len) {
-            io[0] = cycle; io[1] = u_index; io[2] = nr_len;
-            return 1;
-        }
+    const I64 total = warmup + cycles;
+    for (I64 done = 0;; done++) {
+        if (done == warmup)
+            memcpy(baseline, firings, (size_t)num_nodes * sizeof(I64));
+        if (done == total) break;
         I64 qlen = nr_len;
         for (I64 i = 0; i < nr_len; i++) queue[i] = next_ready[i];
         nr_len = 0;
@@ -123,7 +184,7 @@ I64 repro_sim_kernel(
         for (I64 position = 0; position < num_early; position++) {
             I64 guard = pending[position];
             if (guard < 0) {
-                double x = uniforms[u_index++] * guard_total[position];
+                double x = random_random(mt, &mt_index) * guard_total[position];
                 I64 gbase = guard_ptr[position];
                 I64 hi = guard_hi[position];
                 I64 k = 0;
@@ -186,12 +247,26 @@ I64 repro_sim_kernel(
         }
 
         cycle++;
-        done++;
     }
-    io[0] = cycle; io[1] = u_index; io[2] = nr_len;
-    return 0;
+    io[0] = cycle; io[1] = mt_index; io[2] = nr_len;
 }
 """
+
+
+class _CPlan(ctypes.Structure):
+    """The C ``Plan``: sizes and the 12 structure arrays of a ``KernelPlan``."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in ("num_nodes", "num_edges", "num_early")]
+        + [
+            (name, ctypes.c_void_p)
+            for name in (
+                "cons", "in_ptr", "in_idx", "out_ptr", "out_idx",
+                "early_nodes", "early_slot", "guard_ptr", "guard_edges",
+                "guard_cumw", "guard_total", "guard_hi",
+            )
+        ]
+    )
 
 
 # -- backend selection ---------------------------------------------------------
@@ -232,15 +307,21 @@ def _select_backend() -> str:
 _backend = _select_backend()
 
 
-def _build_c_kernel():
-    digest = hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
+def _kernel_path(flags=_CFLAGS) -> str:
+    """Cached shared object, named by a hash of the source and the flags."""
+    text = "\0".join((_C_SOURCE,) + tuple(flags))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     cache_dir = os.environ.get(_CACHE_ENV_VAR) or os.path.join(
         tempfile.gettempdir(), "repro-sim-kernels"
     )
-    os.makedirs(cache_dir, exist_ok=True)
-    lib_path = os.path.join(cache_dir, f"kernel-{digest}.so")
+    return os.path.join(cache_dir, f"kernel-{digest}.so")
+
+
+def _build_c_kernel():
+    lib_path = _kernel_path()
     if not os.path.exists(lib_path):
-        src_path = os.path.join(cache_dir, f"kernel-{digest}.c")
+        os.makedirs(os.path.dirname(lib_path), exist_ok=True)
+        src_path = lib_path[: -len(".so")] + ".c"
         with open(src_path, "w", encoding="utf-8") as handle:
             handle.write(_C_SOURCE)
         compiler = _find_compiler()
@@ -249,7 +330,7 @@ def _build_c_kernel():
         scratch = f"{lib_path}.tmp-{os.getpid()}"
         try:
             subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", scratch, src_path],
+                [compiler, *_CFLAGS, "-o", scratch, src_path],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -261,17 +342,10 @@ def _build_c_kernel():
     library = ctypes.CDLL(lib_path)
     fn = library.repro_sim_kernel
     i64 = ctypes.c_int64
-    i64_p = ctypes.POINTER(ctypes.c_int64)
-    f64_p = ctypes.POINTER(ctypes.c_double)
-    fn.restype = i64
+    fn.restype = None
     fn.argtypes = (
-        [i64] * 5
-        + [i64_p] * 7          # cons .. early_slot
-        + [i64_p] * 2          # guard_ptr, guard_edges
-        + [f64_p] * 2          # guard_cumw, guard_total
-        + [i64_p]              # guard_hi
-        + [i64_p] * 10         # latency .. fired_cycle
-        + [f64_p, i64, i64_p]  # uniforms, u_len, io
+        [ctypes.POINTER(_CPlan), i64, i64, i64]  # plan, warmup, cycles, depth
+        + [ctypes.c_void_p] * 13                 # latency .. mt, io
     )
     fn._library = library  # keep the CDLL alive alongside the function
     return fn
@@ -428,6 +502,20 @@ class KernelPlan:
         self.queue_cap = 4 * (num_nodes + num_edges) + self.num_early + 64
         self.ready_cap = 2 * (num_nodes + num_edges) + 64
 
+        # The C view of the structure arrays, marshalled once per plan.
+        self.c_plan = _CPlan(
+            num_nodes, num_edges, self.num_early,
+            *(
+                array.ctypes.data
+                for array in (
+                    self.cons, self.in_ptr, self.in_idx, self.out_ptr,
+                    self.out_idx, self.early_nodes, self.early_slot,
+                    self.guard_ptr, self.guard_edges, self.guard_cumw,
+                    self.guard_total, self.guard_hi,
+                )
+            ),
+        )
+
 
 def plan_for(structure) -> KernelPlan:
     """The (cached) kernel plan of a compiled structure."""
@@ -457,79 +545,43 @@ class KernelRun:
         ).astype(np.int64) if num_edges else np.zeros(num_nodes, dtype=np.int64)
         self.pending = np.full(plan.num_early, -1, dtype=np.int64)
         self.firings = np.zeros(num_nodes, dtype=np.int64)
+        self.baseline = np.zeros(num_nodes, dtype=np.int64)
         self.ring_count = np.zeros(self.depth, dtype=np.int64)
-        self.ring_edges = np.zeros(self.depth * num_edges, dtype=np.int64)
+        self.ring_edges = np.empty(self.depth * num_edges, dtype=np.int64)
         self.queue = np.empty(plan.queue_cap, dtype=np.int64)
         self.next_ready = np.empty(plan.ready_cap, dtype=np.int64)
         ready0 = np.nonzero((self.deficit == 0) & (plan.early_slot < 0))[0]
         self.next_ready[: ready0.size] = ready0
         self.fired_cycle = np.full(num_nodes, -1, dtype=np.int64)
+        # random.Random(seed)'s MT19937 state: 624 words, then the index.
+        words = random.Random(seed).getstate()[1]
+        self.mt = np.array(words[:_MT_WORDS], dtype=np.uint32)
         self.io = np.zeros(4, dtype=np.int64)
+        self.io[1] = words[_MT_WORDS]
         self.io[2] = ready0.size
-        self._rng = random.Random(seed)
-        self.uniforms = np.empty(
-            _UNIFORM_CHUNK if plan.num_early else 0, dtype=np.float64
-        )
-        self.u_len = 0
 
     @property
     def cycle(self) -> int:
         return int(self.io[0])
 
-    def _refill(self) -> None:
-        cursor = int(self.io[1])
-        remaining = self.u_len - cursor
-        if remaining > 0:
-            self.uniforms[:remaining] = self.uniforms[cursor : self.u_len]
-        self.io[1] = 0
-        rng_random = self._rng.random
-        self.uniforms[remaining:] = [
-            rng_random() for _ in range(self.uniforms.size - remaining)
-        ]
-        self.u_len = self.uniforms.size
+    def run(self, warmup: int, cycles: int) -> None:
+        """Run ``warmup + cycles`` cycles in one C call.
 
-    def advance(self, cycles: int) -> None:
-        """Run ``cycles`` more cycles through the C kernel."""
-        if cycles <= 0:
-            return
-        target = int(self.io[0]) + cycles
-        while int(self.io[0]) < target:
-            status = _invoke(self, target - int(self.io[0]))
-            if status == 1:
-                self._refill()
-            elif status != 0:
-                raise RuntimeError(f"simulation kernel returned status {status}")
-
-
-def _i64_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
-def _f64_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _invoke(run: KernelRun, max_cycles: int) -> int:
-    plan = run.plan
-    return int(
+        ``firings`` holds the totals afterwards and ``baseline`` the totals
+        at the warm-up boundary.
+        """
         _c_kernel(
-            max_cycles, plan.num_nodes, plan.num_edges, plan.num_early,
-            run.depth,
-            _i64_ptr(plan.cons), _i64_ptr(plan.in_ptr), _i64_ptr(plan.in_idx),
-            _i64_ptr(plan.out_ptr), _i64_ptr(plan.out_idx),
-            _i64_ptr(plan.early_nodes), _i64_ptr(plan.early_slot),
-            _i64_ptr(plan.guard_ptr), _i64_ptr(plan.guard_edges),
-            _f64_ptr(plan.guard_cumw), _f64_ptr(plan.guard_total),
-            _i64_ptr(plan.guard_hi),
-            _i64_ptr(run.latency), _i64_ptr(run.marking),
-            _i64_ptr(run.deficit), _i64_ptr(run.pending),
-            _i64_ptr(run.firings),
-            _i64_ptr(run.ring_count), _i64_ptr(run.ring_edges),
-            _i64_ptr(run.queue), _i64_ptr(run.next_ready),
-            _i64_ptr(run.fired_cycle),
-            _f64_ptr(run.uniforms), run.u_len, _i64_ptr(run.io),
+            ctypes.byref(self.plan.c_plan), warmup, cycles, self.depth,
+            *(
+                array.ctypes.data
+                for array in (
+                    self.latency, self.marking, self.deficit, self.pending,
+                    self.firings, self.baseline, self.ring_count,
+                    self.ring_edges, self.queue, self.next_ready,
+                    self.fired_cycle, self.mt, self.io,
+                )
+            ),
         )
-    )
 
 
 def run_window(
@@ -547,11 +599,8 @@ def run_window(
             f"run_window needs the C kernel (active backend: {kernel_backend()})"
         )
     run = KernelRun(model, seed)
-    if warmup > 0:
-        run.advance(warmup)
-    baseline = run.firings.copy()
-    run.advance(cycles)
-    window = [int(value) for value in run.firings - baseline]
+    run.run(max(0, warmup), max(0, cycles))
+    window = (run.firings - run.baseline).tolist()
     rates = [count / cycles for count in window]
     throughput = sum(rates) / len(rates) if rates else 0.0
     return run, window, throughput

@@ -201,6 +201,68 @@ class TestBatchAPI:
         assert cache_stats()["throughput_hits"] == 0
         clear_caches()
 
+    def test_dense_and_dict_vectors_give_equal_keys(self):
+        import numpy as np
+
+        from repro.sim.cache import throughput_key, vector_key
+
+        # Counts no other test uses, so the numpy forms come first to the
+        # interned key pairs and must still leave plain ints in the key.
+        dense = [7919, 0, -7907, 7901]
+        as_dict = {3: 7901, 0: 7919, 2: -7907, 1: 0}
+        expected = ((0, 7919), (1, 0), (2, -7907), (3, 7901))
+        for form in (
+            np.asarray(dense, dtype=np.int32),
+            [np.int64(v) for v in dense],
+            {np.int64(k): np.int64(v) for k, v in as_dict.items()},
+            dense,
+            tuple(dense),
+            as_dict,
+        ):
+            key = vector_key(form)
+            assert key == expected
+            assert all(
+                type(k) is int and type(v) is int for k, v in key
+            ), form
+        # Whole throughput keys agree too, so the dense search path and the
+        # dict path share in-memory and persistent cache entries.
+        fingerprint = ("g", (), ())
+        assert throughput_key(
+            fingerprint, "tgmg", dense, dense[::-1], 100, 20, 1
+        ) == throughput_key(
+            fingerprint, "tgmg", as_dict, dict(enumerate(dense[::-1])),
+            100, 20, 1,
+        )
+
+
+    def test_dense_keys_stay_exact_when_threads_grow_the_pair_tables(self):
+        import sys
+        import threading
+
+        from repro.sim import cache
+
+        # Longer than any vector seen so far: every thread races to grow
+        # the shared per-edge pair tables.
+        length = len(cache._EDGE_PAIRS) + 4000
+        vector = [index % 5 for index in range(length)]
+        keys = []
+
+        def build():
+            keys.append(cache.vector_key(vector))
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert keys == [tuple(enumerate(vector))] * 8
+
 
 class TestOptimizerSimulationPhase:
     def test_min_eff_cyc_fills_throughputs(self):

@@ -78,6 +78,16 @@ class TestBackendSelection:
                 pass
         assert kernels.kernel_backend() == before
 
+    def test_kernel_library_path_depends_on_compiler_flags(self):
+        # A flag change must never reuse a shared object built with other
+        # flags from the kernel cache.
+        other = tuple(
+            "-O2" if flag == "-O3" else flag for flag in kernels._CFLAGS
+        )
+        assert other != kernels._CFLAGS
+        assert kernels._kernel_path(other) != kernels._kernel_path()
+        assert kernels._kernel_path(kernels._CFLAGS) == kernels._kernel_path()
+
     def test_run_window_requires_the_c_backend(self):
         model = _identity_model(random_rrg(6, 10, seed=2))
         with kernels.use_backend("python"):
@@ -123,6 +133,44 @@ class TestKernelParity:
             for slot in range(run.depth)
         ]
         assert ring == ref._arrivals
+
+
+def _draws_between(seed, state):
+    """Number of ``random()`` calls that take ``Random(seed)`` to ``state``."""
+    rng = random.Random(seed)
+    for draws in range(100000):
+        if rng.getstate() == state:
+            return draws
+        rng.random()
+    raise AssertionError("state is not on the stream of the seed")
+
+
+@pytest.mark.skipif(not NATIVE, reason="no C compiler for the kernel")
+class TestRngStreamParity:
+    """The MT19937 inside the kernel walks CPython's stream word for word."""
+
+    @pytest.mark.parametrize("seed", [0, 7, -7, 2**40])
+    @pytest.mark.parametrize("graph_seed", [3, 7])
+    def test_mt_state_matches_the_reference_rng(self, seed, graph_seed):
+        model = _identity_model(random_rrg(12, 24, seed=graph_seed))
+        assert model.structure.guards, "graph needs early nodes"
+        ref = ScalarSimulator(model, seed=seed)
+        ref.run(cycles=1500, warmup=100)
+        with kernels.use_backend("c"):
+            run, _, _ = kernels.run_window(model, seed, cycles=1500, warmup=100)
+        state = ref._rng.getstate()
+        assert tuple(run.mt.tolist()) + (int(run.io[1]),) == state[1]
+        # Two words per draw: the run crossed several 624-word twists.
+        assert 2 * _draws_between(seed, state) > 3 * kernels._MT_WORDS
+
+    def test_unseeded_run_yields_a_throughput(self):
+        model = _identity_model(random_rrg(12, 24, seed=3))
+        with kernels.use_backend("c"):
+            _, window, throughput = kernels.run_window(
+                model, None, cycles=300, warmup=50
+            )
+        assert len(window) == model.structure.num_nodes
+        assert 0.0 <= throughput <= 1.0
 
 
 class TestEvaluateBatch:
