@@ -523,15 +523,18 @@ class Broker:
 
     def stats(self) -> Dict[str, Any]:
         """Hit/miss, queue and batching counters (the ``/stats`` body)."""
-        from repro.sim.kernels import kernel_backend
+        from repro.sim.kernels import kernel_info
 
+        kernel = kernel_info()
         return {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "accepting": self._accepting,
             "shards": self.shards,
             # Live host provenance: which compiled simulation backend this
-            # process runs (results are backend-independent).
-            "kernel_backend": kernel_backend(),
+            # process runs and on how many threads a batch call runs its
+            # lanes (results depend on neither).
+            "kernel_backend": kernel["backend"],
+            "kernel_workers": kernel["workers"],
             "queue": {
                 "depth": self._queue.qsize(),
                 "limit": self.queue_limit,

@@ -12,7 +12,10 @@ Entry points:
 * :func:`simulate_replicas` — many independently-seeded replicas of one
   configuration, for variance estimation.
 
-Every entry point simulates through :func:`run_models`.
+Every entry point simulates through :func:`run_models`, which runs a whole
+batch as one call into the C kernel (lanes in parallel on the process's
+CPUs) or, on the pure-python fallback, lane by lane through
+:class:`ScalarSimulator`.
 """
 
 from __future__ import annotations
@@ -39,32 +42,33 @@ def run_models(
 ) -> BatchRunResult:
     """Simulate one lane per compiled model (all of one structure).
 
-    The single dispatcher of every compiled simulation: each lane runs
-    through the generated-C kernel when it is loaded, else through the
-    pure-python :class:`ScalarSimulator`.  Both are bit-identical, so the
-    backend never shows in the result — one window per lane, in input order.
+    The single dispatcher of every compiled simulation.  When the
+    generated-C kernel is loaded the whole batch is one
+    :func:`repro.sim.kernels.run_windows` call, which runs the lanes on the
+    process's CPUs; otherwise each lane runs through the pure-python
+    :class:`ScalarSimulator`.  Both are bit-identical, so the backend never
+    shows in the result — one window per lane, in input order.
     """
     if cycles <= 0:
         raise ValueError("cycles must be positive")
-    windows: List[List[int]] = []
-    throughputs: List[float] = []
-    native = _kernels.native_active()
-    for model, seed in zip(models, seeds):
-        if native:
-            _, window, throughput = _kernels.run_window(model, seed, cycles, warmup)
-        else:
-            run = ScalarSimulator(model, seed=seed).run(cycles=cycles, warmup=warmup)
-            window, throughput = run.firings[0], run.throughputs[0]
-        windows.append(window)
-        throughputs.append(throughput)
     node_names = list(models[0].structure.node_names) if models else []
+    if _kernels.native_active():
+        firings, throughputs = _kernels.run_windows(models, seeds, cycles, warmup)
+    else:
+        windows: List[List[int]] = []
+        throughputs = []
+        for model, seed in zip(models, seeds):
+            run = ScalarSimulator(model, seed=seed).run(cycles=cycles, warmup=warmup)
+            windows.append(run.firings[0])
+            throughputs.append(run.throughputs[0])
+        firings = np.asarray(windows, dtype=np.int64).reshape(
+            len(windows), len(node_names)
+        )
     return BatchRunResult(
         node_names=node_names,
         cycles=cycles,
         warmup=warmup,
-        firings=np.asarray(windows, dtype=np.int64).reshape(
-            len(windows), len(node_names)
-        ),
+        firings=firings,
         throughputs=np.asarray(throughputs, dtype=np.float64),
     )
 

@@ -7,7 +7,11 @@ threshold crossings, same ``random.Random``-compatible guard draws — as C,
 compiles it once per machine with the system C compiler and loads it
 through ``ctypes``.  Two backends exist:
 
-* ``c`` — the generated kernel, driven by :func:`run_window`;
+* ``c`` — the generated kernel.  :func:`run_windows` runs every lane of a
+  batch in one C call on pthreads (as many as the CPUs this process may
+  use, capped at the lane count, and only for the duration of the call);
+  ``sim.batch.run_models`` calls it once per batch.  :func:`run_window`
+  runs one lane and keeps its full state, for the state-parity tests;
 * ``python`` — the fallback: :meth:`ScalarSimulator.step` itself.
 
 Both are firing-for-firing identical, so results never depend on which one
@@ -29,7 +33,8 @@ MT19937 itself: each lane is seeded with the 624 state words and the index
 of ``random.Random(seed).getstate()``, and every draw is ``random()``'s
 53-bit construction from two 32-bit outputs, so the kernel consumes exactly
 the uniforms the reference consumes, bit for bit, and never returns to
-python mid-run.
+python mid-run.  Lanes share nothing but the read-only structure, so a
+batch's windows do not depend on how many threads ran it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import subprocess
 import tempfile
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,10 +59,22 @@ _BACKENDS = ("auto", "c", "python")
 #: Compiler flags of the shared object; part of its cache name.  No
 #: ``-march=native`` (the cache may be shared across machines) and no
 #: ``-ffast-math`` (results must stay bit-identical to python).
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
 
 #: Words of MT19937 state (CPython's ``N``).
 _MT_WORDS = 624
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: Threads a :func:`run_windows` call runs its lanes on (capped at the lane
+#: count): the CPUs this process may use.
+_WORKERS = max(1, _usable_cpus())
 
 
 # -- the generated C kernel ----------------------------------------------------
@@ -70,11 +87,15 @@ _MT_WORDS = 624
 # The structure arrays come in one ``Plan`` (built once per ``KernelPlan``);
 # lane state is carried in the arrays plus ``io``: ``io[0]`` the cycle
 # counter, ``io[1]`` the MT19937 index into ``mt``, ``io[2]`` the persistent
-# ready-list length.  One call runs ``warmup + cycles`` cycles and copies
-# ``firings`` into ``baseline`` at the warm-up boundary.
+# ready-list length.  ``repro_lane_init`` sets up a lane's start state;
+# ``repro_sim_kernel`` runs ``warmup + cycles`` cycles and copies ``firings``
+# into ``baseline`` at the warm-up boundary; ``repro_sim_batch`` runs every
+# lane of a batch on pthreads, each worker reusing one set of lane scratch.
 
 _C_SOURCE = r"""
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef int64_t I64;
@@ -86,6 +107,7 @@ typedef struct {
     const I64 *guard_ptr, *guard_edges;
     const double *guard_cumw, *guard_total;
     const I64 *guard_hi;
+    I64 queue_cap, ready_cap;
 } Plan;
 
 /* CPython's MT19937 (Modules/_randommodule.c): genrand_uint32 ... */
@@ -250,11 +272,147 @@ void repro_sim_kernel(
     }
     io[0] = cycle; io[1] = mt_index; io[2] = nr_len;
 }
+
+/* A lane's start state: marking0 copied, deficits counted, no guard held,
+   the initial ready list (non-early nodes with no deficit, in node order)
+   and the MT19937 start words of its seed. */
+void repro_lane_init(
+    const Plan *plan, I64 depth, const I64 *marking0,
+    const uint32_t *mt0, I64 mt_index,
+    I64 *marking, I64 *deficit, I64 *pending, I64 *firings, I64 *baseline,
+    I64 *ring_count, I64 *next_ready, I64 *fired_cycle,
+    uint32_t *mt, I64 *io)
+{
+    const I64 num_nodes = plan->num_nodes;
+    const I64 num_edges = plan->num_edges;
+    memcpy(marking, marking0, (size_t)num_edges * sizeof(I64));
+    memset(deficit, 0, (size_t)num_nodes * sizeof(I64));
+    for (I64 edge = 0; edge < num_edges; edge++)
+        if (marking[edge] < 1) deficit[plan->cons[edge]]++;
+    for (I64 position = 0; position < plan->num_early; position++)
+        pending[position] = -1;
+    memset(firings, 0, (size_t)num_nodes * sizeof(I64));
+    memset(baseline, 0, (size_t)num_nodes * sizeof(I64));
+    memset(ring_count, 0, (size_t)depth * sizeof(I64));
+    I64 nr_len = 0;
+    for (I64 node = 0; node < num_nodes; node++) {
+        fired_cycle[node] = -1;
+        if (deficit[node] == 0 && plan->early_slot[node] < 0)
+            next_ready[nr_len++] = node;
+    }
+    memcpy(mt, mt0, MT_N * sizeof(uint32_t));
+    io[0] = 0; io[1] = mt_index; io[2] = nr_len;
+}
+
+/* Every lane of a batch: workers pull lane indices from a shared counter,
+   reuse one block of lane scratch and write only the lane's window counts.
+   All scratch is allocated by the calling thread before any worker starts,
+   so workers never allocate. */
+typedef struct {
+    const Plan *plan;
+    I64 lanes, warmup, cycles;
+    const I64 *const *latency;
+    const I64 *const *marking0;
+    const uint32_t *const *mt0;
+    const I64 *mt_index;
+    I64 *windows;
+    I64 *scratch, stride, depth_cap;
+    I64 next_lane, next_block;
+} Batch;
+
+static I64 lane_depth(const Plan *plan, const I64 *latency)
+{
+    I64 depth = 1;
+    for (I64 edge = 0; edge < plan->num_edges; edge++)
+        if (latency[edge] >= depth) depth = latency[edge] + 1;
+    return depth;
+}
+
+static void *batch_worker(void *arg)
+{
+    Batch *batch = arg;
+    const Plan *plan = batch->plan;
+    const I64 num_nodes = plan->num_nodes;
+    const I64 num_edges = plan->num_edges;
+    I64 block = __atomic_fetch_add(&batch->next_block, 1, __ATOMIC_RELAXED);
+    I64 *cursor = batch->scratch + block * batch->stride;
+    I64 *io = cursor; cursor += 4;
+    uint32_t *mt = (uint32_t *)cursor; cursor += MT_N / 2;
+    I64 *marking = cursor; cursor += num_edges;
+    I64 *deficit = cursor; cursor += num_nodes;
+    I64 *firings = cursor; cursor += num_nodes;
+    I64 *baseline = cursor; cursor += num_nodes;
+    I64 *fired_cycle = cursor; cursor += num_nodes;
+    I64 *pending = cursor; cursor += plan->num_early;
+    I64 *queue = cursor; cursor += plan->queue_cap;
+    I64 *next_ready = cursor; cursor += plan->ready_cap;
+    I64 *ring_count = cursor; cursor += batch->depth_cap;
+    I64 *ring_edges = cursor;
+    for (;;) {
+        I64 lane = __atomic_fetch_add(&batch->next_lane, 1, __ATOMIC_RELAXED);
+        if (lane >= batch->lanes) break;
+        const I64 *latency = batch->latency[lane];
+        I64 depth = lane_depth(plan, latency);
+        repro_lane_init(
+            plan, depth, batch->marking0[lane],
+            batch->mt0[lane], batch->mt_index[lane],
+            marking, deficit, pending, firings, baseline,
+            ring_count, next_ready, fired_cycle, mt, io);
+        repro_sim_kernel(
+            plan, batch->warmup, batch->cycles, depth, latency,
+            marking, deficit, pending, firings, baseline,
+            ring_count, ring_edges, queue, next_ready, fired_cycle, mt, io);
+        I64 *row = batch->windows + lane * num_nodes;
+        for (I64 node = 0; node < num_nodes; node++)
+            row[node] = firings[node] - baseline[node];
+    }
+    return NULL;
+}
+
+/* Runs on up to `workers` threads, the calling thread included; a thread
+   that cannot be started leaves its lanes to the others.  Returns 0, or -1
+   (having run nothing) when the lane scratch cannot be allocated. */
+int repro_sim_batch(
+    const Plan *plan, I64 lanes, I64 warmup, I64 cycles,
+    const I64 *const *latency, const I64 *const *marking0,
+    const uint32_t *const *mt0, const I64 *mt_index,
+    I64 workers, I64 *windows)
+{
+    I64 depth_cap = 1;
+    for (I64 lane = 0; lane < lanes; lane++) {
+        I64 depth = lane_depth(plan, latency[lane]);
+        if (depth > depth_cap) depth_cap = depth;
+    }
+    /* io, mt, the per-edge/per-node arrays, worklists and the ring. */
+    I64 stride = 4 + MT_N / 2 + plan->num_edges + 4 * plan->num_nodes
+        + plan->num_early + plan->queue_cap + plan->ready_cap
+        + depth_cap * (1 + plan->num_edges);
+    Batch batch = {plan, lanes, warmup, cycles, latency, marking0, mt0,
+                   mt_index, windows, NULL, stride, depth_cap, 0, 0};
+    if (workers < 1) workers = 1;
+    batch.scratch = malloc((size_t)(workers * stride) * sizeof(I64));
+    pthread_t *threads = malloc((size_t)workers * sizeof(pthread_t));
+    if (!batch.scratch || !threads) {
+        free(batch.scratch);
+        free(threads);
+        return -1;
+    }
+    I64 started = 0;
+    while (started < workers - 1
+           && pthread_create(&threads[started], NULL, batch_worker, &batch) == 0)
+        started++;
+    batch_worker(&batch);
+    for (I64 i = 0; i < started; i++) pthread_join(threads[i], NULL);
+    free(threads);
+    free(batch.scratch);
+    return 0;
+}
 """
 
 
 class _CPlan(ctypes.Structure):
-    """The C ``Plan``: sizes and the 12 structure arrays of a ``KernelPlan``."""
+    """The C ``Plan``: sizes, the 12 structure arrays of a ``KernelPlan``
+    and its worklist capacities."""
 
     _fields_ = (
         [(name, ctypes.c_int64) for name in ("num_nodes", "num_edges", "num_early")]
@@ -266,6 +424,7 @@ class _CPlan(ctypes.Structure):
                 "guard_cumw", "guard_total", "guard_hi",
             )
         ]
+        + [(name, ctypes.c_int64) for name in ("queue_cap", "ready_cap")]
     )
 
 
@@ -275,7 +434,7 @@ _lock = threading.Lock()
 _backend: str = "python"
 _requested: str = "auto"
 _materialized = False
-_c_kernel = None
+_c_kernel = None  # the loaded kernel library (ctypes.CDLL), once built
 _info_notes: List[str] = []
 
 
@@ -340,15 +499,24 @@ def _build_c_kernel():
             if os.path.exists(scratch):
                 os.unlink(scratch)
     library = ctypes.CDLL(lib_path)
-    fn = library.repro_sim_kernel
-    i64 = ctypes.c_int64
-    fn.restype = None
-    fn.argtypes = (
-        [ctypes.POINTER(_CPlan), i64, i64, i64]  # plan, warmup, cycles, depth
-        + [ctypes.c_void_p] * 13                 # latency .. mt, io
+    plan, i64, ptr = ctypes.POINTER(_CPlan), ctypes.c_int64, ctypes.c_void_p
+    library.repro_sim_kernel.restype = None
+    library.repro_sim_kernel.argtypes = (
+        [plan, i64, i64, i64]  # warmup, cycles, depth
+        + [ptr] * 13           # latency .. mt, io
     )
-    fn._library = library  # keep the CDLL alive alongside the function
-    return fn
+    library.repro_lane_init.restype = None
+    library.repro_lane_init.argtypes = (
+        [plan, i64, ptr, ptr, i64]  # depth, marking0, mt0, mt_index
+        + [ptr] * 10                # marking .. mt, io
+    )
+    library.repro_sim_batch.restype = ctypes.c_int
+    library.repro_sim_batch.argtypes = (
+        [plan, i64, i64, i64]  # lanes, warmup, cycles
+        + [ptr] * 4            # latency, marking0, mt0, mt_index (per lane)
+        + [i64, ptr]           # workers, windows
+    )
+    return library
 
 
 def _materialize_locked() -> None:
@@ -380,12 +548,14 @@ def native_active() -> bool:
 
 
 def kernel_info() -> dict:
-    """Probe report: requested vs active backend and any demotion notes."""
+    """Probe report: requested vs active backend, the threads a batch call
+    runs its lanes on (1 on the python fallback) and any demotion notes."""
     with _lock:
         _materialize_locked()
         return {
             "requested": _requested,
             "backend": _backend,
+            "workers": _WORKERS if _backend == "c" else 1,
             "notes": list(_info_notes),
         }
 
@@ -514,6 +684,7 @@ class KernelPlan:
                     self.guard_total, self.guard_hi,
                 )
             ),
+            self.queue_cap, self.ready_cap,
         )
 
 
@@ -529,36 +700,67 @@ def plan_for(structure) -> KernelPlan:
 # -- kernel runs ---------------------------------------------------------------
 
 
+def _mt_start(seed: Optional[int]) -> Tuple[np.ndarray, int]:
+    """``random.Random(seed)``'s MT19937 state: the 624 words and the index."""
+    words = random.Random(seed).getstate()[1]
+    return np.array(words[:_MT_WORDS], dtype=np.uint32), words[_MT_WORDS]
+
+
+def _theta(window: List[int], cycles: int) -> float:
+    """Mean per-node rate of a window, in the pure-python engines' float
+    arithmetic (rate list, left-to-right sum), so it is bit-identical."""
+    rates = [count / cycles for count in window]
+    return sum(rates) / len(rates) if rates else 0.0
+
+
+def _lane_arrays(model, plan: KernelPlan) -> Tuple[np.ndarray, np.ndarray]:
+    """A model's latency and initial marking as int64 C arrays, checked to
+    be one value per edge of ``plan`` before C reads them."""
+    latency = np.ascontiguousarray(model.latency, dtype=np.int64)
+    marking0 = np.ascontiguousarray(model.marking0, dtype=np.int64)
+    if latency.shape != (plan.num_edges,) or marking0.shape != latency.shape:
+        raise ValueError("a lane needs one latency and one marking per edge")
+    return latency, marking0
+
+
 class KernelRun:
-    """State of one lane advanced by the C kernel."""
+    """Full state of one lane advanced by the C kernel.
+
+    Only :func:`run_window` builds one; batches run through
+    :func:`run_windows`, whose workers keep their lane state in C.
+    """
 
     def __init__(self, model, seed: Optional[int]) -> None:
         plan = plan_for(model.structure)
         self.plan = plan
         num_nodes, num_edges = plan.num_nodes, plan.num_edges
-        self.latency = np.ascontiguousarray(model.latency, dtype=np.int64)
+        self.latency, marking0 = _lane_arrays(model, plan)
         self.depth = int(self.latency.max()) + 1 if num_edges else 1
-        self.marking = np.array(model.marking0, dtype=np.int64)
-        below = self.marking < 1
-        self.deficit = np.bincount(
-            plan.cons[below], minlength=num_nodes
-        ).astype(np.int64) if num_edges else np.zeros(num_nodes, dtype=np.int64)
-        self.pending = np.full(plan.num_early, -1, dtype=np.int64)
-        self.firings = np.zeros(num_nodes, dtype=np.int64)
-        self.baseline = np.zeros(num_nodes, dtype=np.int64)
-        self.ring_count = np.zeros(self.depth, dtype=np.int64)
+        self.marking = np.empty(num_edges, dtype=np.int64)
+        self.deficit = np.empty(num_nodes, dtype=np.int64)
+        self.pending = np.empty(plan.num_early, dtype=np.int64)
+        self.firings = np.empty(num_nodes, dtype=np.int64)
+        self.baseline = np.empty(num_nodes, dtype=np.int64)
+        self.ring_count = np.empty(self.depth, dtype=np.int64)
         self.ring_edges = np.empty(self.depth * num_edges, dtype=np.int64)
         self.queue = np.empty(plan.queue_cap, dtype=np.int64)
         self.next_ready = np.empty(plan.ready_cap, dtype=np.int64)
-        ready0 = np.nonzero((self.deficit == 0) & (plan.early_slot < 0))[0]
-        self.next_ready[: ready0.size] = ready0
-        self.fired_cycle = np.full(num_nodes, -1, dtype=np.int64)
-        # random.Random(seed)'s MT19937 state: 624 words, then the index.
-        words = random.Random(seed).getstate()[1]
-        self.mt = np.array(words[:_MT_WORDS], dtype=np.uint32)
+        self.fired_cycle = np.empty(num_nodes, dtype=np.int64)
+        self.mt = np.empty(_MT_WORDS, dtype=np.uint32)
         self.io = np.zeros(4, dtype=np.int64)
-        self.io[1] = words[_MT_WORDS]
-        self.io[2] = ready0.size
+        mt0, mt_index = _mt_start(seed)
+        _c_kernel.repro_lane_init(
+            ctypes.byref(plan.c_plan), self.depth, marking0.ctypes.data,
+            mt0.ctypes.data, mt_index,
+            *(
+                array.ctypes.data
+                for array in (
+                    self.marking, self.deficit, self.pending, self.firings,
+                    self.baseline, self.ring_count, self.next_ready,
+                    self.fired_cycle, self.mt, self.io,
+                )
+            ),
+        )
 
     @property
     def cycle(self) -> int:
@@ -570,7 +772,7 @@ class KernelRun:
         ``firings`` holds the totals afterwards and ``baseline`` the totals
         at the warm-up boundary.
         """
-        _c_kernel(
+        _c_kernel.repro_sim_kernel(
             ctypes.byref(self.plan.c_plan), warmup, cycles, self.depth,
             *(
                 array.ctypes.data
@@ -584,23 +786,86 @@ class KernelRun:
         )
 
 
+def _require_native(name: str) -> None:
+    if not native_active():
+        raise RuntimeError(
+            f"{name} needs the C kernel (active backend: {kernel_backend()})"
+        )
+
+
 def run_window(
     model, seed: Optional[int], cycles: int, warmup: int
 ) -> Tuple[KernelRun, List[int], float]:
-    """Run ``warmup + cycles`` cycles in C; return (state, window counts, Theta).
+    """Run one lane in C; return (full state, window counts, Theta).
 
-    The throughput is reduced with the same python-float arithmetic as the
-    pure-python engines (per-node rate list, mean in node order), so the
-    reported double is bit-identical to a :class:`ScalarSimulator` run.
-    Raises ``RuntimeError`` unless the C backend is active.
+    Kept for the state-parity tests, which read the whole lane state; no
+    code under ``src/`` calls it — :func:`run_windows` runs every batch.
+    Lane set-up is the same C ``repro_lane_init`` the batch workers use and
+    the throughput the same reduction, so both agree bit for bit.  Raises
+    ``RuntimeError`` unless the C backend is active.
     """
-    if not native_active():
-        raise RuntimeError(
-            f"run_window needs the C kernel (active backend: {kernel_backend()})"
-        )
+    _require_native("run_window")
     run = KernelRun(model, seed)
     run.run(max(0, warmup), max(0, cycles))
     window = (run.firings - run.baseline).tolist()
-    rates = [count / cycles for count in window]
-    throughput = sum(rates) / len(rates) if rates else 0.0
-    return run, window, throughput
+    return run, window, _theta(window, cycles)
+
+
+def run_windows(
+    models: Sequence, seeds: Sequence[Optional[int]], cycles: int, warmup: int
+) -> Tuple[np.ndarray, List[float]]:
+    """Run one lane per model in one C call; return (windows, Thetas).
+
+    ``windows`` is the ``(lanes, nodes)`` int64 array of window firing
+    counts and ``Thetas`` the per-lane throughputs, reduced exactly as
+    :func:`run_window` reduces them.  The lanes (all of one structure) run
+    on up to ``_WORKERS`` threads inside the call; each lane owns its
+    MT19937 stream, so the result does not depend on the thread count.
+    Raises ``ValueError`` for ``cycles <= 0``, ``MemoryError`` when the C
+    side cannot allocate lane scratch and ``RuntimeError`` unless the C
+    backend is active.
+    """
+    if cycles <= 0:
+        raise ValueError("cycles must be positive")
+    if len(models) != len(seeds):
+        raise ValueError("need one seed per model")
+    _require_native("run_windows")
+    lanes = len(models)
+    if not lanes:
+        return np.zeros((0, 0), dtype=np.int64), []
+    structure = models[0].structure
+    if any(model.structure is not structure for model in models):
+        raise ValueError("run_windows needs models of one compiled structure")
+    plan = plan_for(structure)
+    # Per-lane pointers into the models' own arrays (no stacking copy);
+    # ``arrays`` keeps any converted copy alive through the call.
+    arrays: List[np.ndarray] = []
+    latency = (ctypes.c_void_p * lanes)()
+    marking0 = (ctypes.c_void_p * lanes)()
+    mt0 = (ctypes.c_void_p * lanes)()
+    mt_index = np.empty(lanes, dtype=np.int64)
+    starts = {}
+    for lane, (model, seed) in enumerate(zip(models, seeds)):
+        lat, mark = _lane_arrays(model, plan)
+        arrays += (lat, mark)
+        latency[lane] = lat.ctypes.data
+        marking0[lane] = mark.ctypes.data
+        # An unseeded lane draws its own fresh stream; a seeded one shares
+        # the start words of every lane with the same seed.
+        start = starts.get(seed)
+        if start is None:
+            start = _mt_start(seed)
+            arrays.append(start[0])
+            if seed is not None:
+                starts[seed] = start
+        mt0[lane] = start[0].ctypes.data
+        mt_index[lane] = start[1]
+    windows = np.empty((lanes, plan.num_nodes), dtype=np.int64)
+    status = _c_kernel.repro_sim_batch(
+        ctypes.byref(plan.c_plan), lanes, max(0, warmup), cycles,
+        latency, marking0, mt0, mt_index.ctypes.data,
+        min(_WORKERS, lanes), windows.ctypes.data,
+    )
+    if status != 0:
+        raise MemoryError("the simulation kernel could not allocate lane scratch")
+    return windows, [_theta(window, cycles) for window in windows.tolist()]

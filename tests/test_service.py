@@ -489,6 +489,12 @@ class TestHttpEndToEnd:
         assert stats["queue"]["limit"] == 8
         assert stats["requests"]["submitted"] >= 1
         assert stats["cache"]["l1"]["maxsize"] == 256
+        # Kernel provenance: the backend and the batch thread count.
+        from repro.sim.kernels import kernel_info
+
+        info = kernel_info()
+        assert stats["kernel_backend"] == info["backend"]
+        assert stats["kernel_workers"] == info["workers"] >= 1
         # The drain-rate estimate behind the 429 retry_after hint is
         # published, not private: after at least one completed request the
         # EMA and its rps reciprocal exist.

@@ -3,7 +3,9 @@
 The pure-python :class:`ScalarSimulator` loop is the semantics oracle for
 the generated-C kernel; a lane run through :func:`kernels.run_window` must
 be *bit*-identical to a python run — same window firings, same float
-throughput and the same final engine state.
+throughput and the same final engine state.  A batch run through
+:func:`kernels.run_windows` must return exactly the per-lane windows and
+throughputs for any worker count.
 
 On top of that, ``SearchProblem.evaluate_batch`` must return bit-identical
 ``Evaluation``s (and advance the shared counters identically) to the
@@ -14,13 +16,16 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.search import search_minimize
 from repro.search.problem import SearchProblem
-from repro.search.state import SearchState
+from repro.search.state import BUBBLE, RETIME, Move, SearchState
 from repro.sim import clear_caches
 from repro.sim import kernels
 from repro.sim.cache import compiled_template_for
+from repro.sim.batch import run_models
 from repro.sim.scalar import ScalarSimulator
 from repro.workloads.random_rrg import large_random_rrg, random_rrg
 
@@ -54,6 +59,14 @@ class TestBackendSelection:
         info = kernels.kernel_info()
         assert info["backend"] == kernels.kernel_backend()
         assert info["requested"] in ("auto", "c", "python")
+
+    def test_info_reports_the_batch_worker_count(self):
+        with kernels.use_backend("python"):
+            assert kernels.kernel_info()["workers"] == 1
+        if NATIVE:
+            with kernels.use_backend("c"):
+                assert kernels.kernel_info()["workers"] == kernels._WORKERS
+        assert kernels._WORKERS >= 1
 
     def test_use_backend_forces_and_restores(self):
         before = kernels.kernel_backend()
@@ -133,6 +146,145 @@ class TestKernelParity:
             for slot in range(run.depth)
         ]
         assert ring == ref._arrivals
+
+
+def _lane_models(rrg, mode, lanes, rng):
+    """The identity configuration plus ``lanes - 1`` states, each up to
+    three random legal moves (retimings and bubbles) away from it, so the
+    lanes differ in marking and in ring depth."""
+    template = compiled_template_for(rrg, mode=mode)
+    base = SearchState(rrg)
+    moves = [
+        Move(kind, target, delta)
+        for kind, count in (
+            (RETIME, len(base.lags)), (BUBBLE, len(base.buffers))
+        )
+        for target in range(count)
+        for delta in (1, -1)
+    ]
+    states = [base]
+    for _ in range(lanes - 1):
+        state = base.copy()
+        for move in rng.sample(moves, 3):
+            if state.can_apply(move):
+                state.apply(move)
+        states.append(state)
+    return [
+        template.instantiate(state.token_vector(), state.buffer_vector())
+        for state in states
+    ]
+
+
+#: Mixed lane seeds with duplicates (-7 and 7 even share a stream).
+LANE_SEEDS = [0, 7, -7, 2**40, 7, 0, 2**40]
+
+
+def _assert_batch_matches_run_window(models, seeds, cycles, warmup):
+    with kernels.use_backend("c"):
+        expected = [
+            kernels.run_window(model, seed, cycles, warmup)[1:]
+            for model, seed in zip(models, seeds)
+        ]
+        for workers in (1, 2, len(models) + 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "_WORKERS", workers)
+                windows, thetas = kernels.run_windows(
+                    models, seeds, cycles, warmup
+                )
+            assert windows.shape == (len(models), models[0].structure.num_nodes)
+            assert [
+                (window, theta)
+                for window, theta in zip(windows.tolist(), thetas)
+            ] == expected, workers
+
+
+@pytest.mark.skipif(not NATIVE, reason="no C compiler for the kernel")
+class TestRunWindows:
+    """One C call per batch equals per-lane runs, for any worker count."""
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_nodes=st.integers(min_value=2, max_value=12),
+        extra_edges=st.integers(min_value=0, max_value=12),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        mode=st.sampled_from(["tgmg", "elastic"]),
+        lanes=st.integers(min_value=1, max_value=len(LANE_SEEDS)),
+        warmup=st.integers(min_value=0, max_value=20),
+        cycles=st.integers(min_value=1, max_value=80),
+    )
+    def test_random_graphs_match_per_lane_runs(
+        self, num_nodes, extra_edges, graph_seed, mode, lanes, warmup, cycles
+    ):
+        num_edges = num_nodes + min(extra_edges, num_nodes)
+        rrg = random_rrg(num_nodes, num_edges, seed=graph_seed)
+        models = _lane_models(rrg, mode, lanes, random.Random(graph_seed))
+        _assert_batch_matches_run_window(
+            models, LANE_SEEDS[:lanes], cycles, warmup
+        )
+
+    @pytest.mark.parametrize("mode", ["tgmg", "elastic"])
+    def test_large_graph_matches_per_lane_runs(self, mode):
+        rrg = large_random_rrg(300, seed=11)
+        models = _lane_models(rrg, mode, len(LANE_SEEDS), random.Random(5))
+        assert models[0].structure.guards, "graph needs early nodes"
+        _assert_batch_matches_run_window(models, LANE_SEEDS, 300, 50)
+
+    def test_many_lanes_on_more_threads_than_cpus(self, monkeypatch):
+        # Sixteen workers race on the shared lane counter: a lost or doubled
+        # claim would leave a row unwritten or mix two lanes' scratch.
+        models = _lane_models(
+            random_rrg(10, 18, seed=4), "tgmg", 64, random.Random(2)
+        )
+        seeds = [lane % 5 for lane in range(len(models))]
+        with kernels.use_backend("c"):
+            expected = [
+                kernels.run_window(model, seed, 60, 10)[1:]
+                for model, seed in zip(models, seeds)
+            ]
+            monkeypatch.setattr(kernels, "_WORKERS", 16)
+            for _ in range(5):
+                windows, thetas = kernels.run_windows(models, seeds, 60, 10)
+                assert list(zip(windows.tolist(), thetas)) == expected
+
+    def test_unseeded_lanes_draw_independent_streams(self, monkeypatch):
+        model = _identity_model(random_rrg(12, 24, seed=3))
+        starts = []
+        mt_start = kernels._mt_start
+
+        def recording(seed):
+            start = mt_start(seed)
+            starts.append((seed, tuple(start[0].tolist()), start[1]))
+            return start
+
+        monkeypatch.setattr(kernels, "_mt_start", recording)
+        with kernels.use_backend("c"):
+            _, thetas = kernels.run_windows(
+                [model, model, model, model], [None, None, 4, 4], 300, 50
+            )
+        # One fresh stream per unseeded lane, one shared start per seed.
+        assert [seed for seed, _, _ in starts] == [None, None, 4]
+        assert starts[0][1:] != starts[1][1:]
+        assert thetas[2] == thetas[3]
+        assert all(0.0 <= theta <= 1.0 for theta in thetas)
+
+    def test_empty_batch(self):
+        with kernels.use_backend("c"):
+            windows, thetas = kernels.run_windows([], [], 10, 0)
+        assert windows.shape[0] == 0 and thetas == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cycles", [0, -3])
+def test_nonpositive_cycles_raise(backend, cycles):
+    model = _identity_model(random_rrg(6, 10, seed=2))
+    with kernels.use_backend(backend):
+        with pytest.raises(ValueError):
+            run_models([model], [1], cycles, 0)
+        with pytest.raises(ValueError):
+            kernels.run_windows([model], [1], cycles, 0)
 
 
 def _draws_between(seed, state):
