@@ -56,6 +56,7 @@ QUEUE_GAUGES = {
     "depth": "repro_queue_depth",
     "limit": "repro_queue_limit",
     "in_flight": "repro_queue_in_flight",
+    "held": "repro_queue_held",
     "drain_rate_rps": "repro_drain_rate_rps",
 }
 
@@ -83,6 +84,7 @@ _HELP = {
     "repro_queue_depth": "Requests waiting in the broker queue",
     "repro_queue_limit": "Broker queue admission limit",
     "repro_queue_in_flight": "Distinct request keys currently in flight",
+    "repro_queue_held": "Held /result and /status calls currently parked",
     "repro_drain_rate_rps": "Estimated queue drain rate (0.0 until history exists)",
     "repro_uptime_seconds": "Seconds since the server started",
     "repro_kernel_backend_info": "Active compiled simulation backend (info gauge, always 1)",

@@ -22,8 +22,9 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.obs import trace as _trace
 from repro.resilience.faults import InjectedFault
@@ -34,10 +35,28 @@ from repro.resilience.retry import STORE_RETRY, RetryPolicy
 SCHEMA_VERSION = 1
 
 
+#: Exact types that are already canonical (``float(x) is x`` for a float).
+_CANONICAL_SCALARS = frozenset({str, int, bool, float, type(None)})
+
+
+def _str_key(item: Tuple[Any, Any]) -> str:
+    return str(item[0])
+
+
 def _canonical(value: Any) -> Any:
-    """Convert tuples/mappings into canonical JSON-serialisable structures."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    """Convert tuples/mappings into canonical JSON-serialisable structures.
+
+    The common exact built-in types are dispatched on ``type()`` first;
+    ``isinstance`` checks, which are far slower against the ``Mapping``
+    ABC, only run for subclasses and foreign types.
+    """
+    kind = type(value)
+    if kind in _CANONICAL_SCALARS:
+        return value
+    if kind is list or kind is tuple:
+        return [_canonical(v) for v in value]
+    if kind is dict or isinstance(value, Mapping):
+        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=_str_key)}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, (str, int, bool)) or value is None:

@@ -1,8 +1,8 @@
 """One retry policy — jittered exponential backoff — for every layer.
 
-The sync/async service clients, store I/O and transient stage failures all
-retry through the same :class:`RetryPolicy`, replacing the previous ad-hoc
-busy loops and bare re-raises.  The policy is a frozen value: delays are a
+The service client, store I/O and transient stage failures all retry
+through the same :class:`RetryPolicy`, replacing the previous ad-hoc busy
+loops and bare re-raises.  The policy is a frozen value: delays are a
 pure function of the attempt index (plus deterministic jitter when seeded),
 so a chaos test can assert the exact backoff schedule.
 
@@ -89,17 +89,6 @@ class RetryPolicy:
         """The finite backoff schedule (one delay per retry)."""
         for attempt in range(self.attempts - 1):
             yield self.delay(attempt, salt)
-
-    def poll_delays(self, salt: str = "") -> Iterator[float]:
-        """An endless backoff schedule for polling loops.
-
-        Grows like the retry schedule and then stays at ``max_delay`` —
-        the replacement for fixed-interval busy polling.
-        """
-        attempt = 0
-        while True:
-            yield self.delay(attempt, salt)
-            attempt += 1
 
     def call(
         self,

@@ -19,6 +19,10 @@ The broker is the heart of the service and is usable without the HTTP layer
    simulate requests into single batched-engine calls
    (:func:`repro.service.worker.group_requests`) and executes groups on the
    compute executor, streaming pipeline events back into the records.
+
+A reader may also *hold* on a record (:meth:`Broker.hold`): park until the
+record is terminal, or has events beyond a cursor, instead of polling.  The
+wake-up behind a hold is allocated only while some call holds.
 """
 
 from __future__ import annotations
@@ -100,6 +104,15 @@ class RequestRecord:
         return out
 
 
+def _ready(record: RequestRecord, events_from: Optional[int]) -> bool:
+    if record.status in (DONE, FAILED):
+        return True
+    if events_from is None:
+        return False
+    events = record.events if record.primary is None else record.primary.events
+    return len(events) > events_from
+
+
 class Broker:
     """Asynchronous request broker over the synchronous pipeline."""
 
@@ -121,6 +134,10 @@ class Broker:
         self._record_order: List[str] = []
         self._keep_records = max(16, int(keep_records))
         self._inflight: Dict[str, RequestRecord] = {}
+        # Record id -> the wake-up its held calls park on.  An entry exists
+        # only while some call holds on the record; _wake pops and sets it.
+        self._wakeups: Dict[str, asyncio.Event] = {}
+        self._held = 0
         self._l1 = LruCache(maxsize=l1_size)
         self._ids = itertools.count(1)
         self._accepting = True
@@ -169,9 +186,16 @@ class Broker:
         if self._worker_task is None:
             self._worker_task = asyncio.create_task(self._work_loop())
 
+    def stop_accepting(self) -> None:
+        """Refuse new submits and release every held call at once."""
+        self._accepting = False
+        for wakeup in self._wakeups.values():
+            wakeup.set()
+        self._wakeups.clear()
+
     async def close(self, drain: bool = True) -> None:
         """Stop accepting; optionally finish queued work, then shut down."""
-        self._accepting = False
+        self.stop_accepting()
         if drain:
             await self.join()
         if self._worker_task is not None:
@@ -221,7 +245,7 @@ class Broker:
         self._records[record.id] = record
         self._record_order.append(record.id)
         # Retention only ever evicts *terminal* records: a flood of cache
-        # hits must not 404 a client still polling its running request.
+        # hits must not 404 a client still waiting on its running request.
         while len(self._record_order) > self._keep_records:
             for position, stale_id in enumerate(self._record_order):
                 stale = self._records.get(stale_id)
@@ -344,6 +368,46 @@ class Broker:
     def get(self, request_id: str) -> Optional[RequestRecord]:
         return self._records.get(request_id)
 
+    async def hold(
+        self,
+        record: RequestRecord,
+        seconds: float,
+        events_from: Optional[int] = None,
+    ) -> bool:
+        """Park until ``record`` is ready, ``seconds`` pass or a drain starts.
+
+        Ready means terminal (done or failed) or, when ``events_from`` is
+        given, holding more than ``events_from`` events.  Returns whether
+        the record is ready.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + seconds
+        self._held += 1
+        try:
+            while not _ready(record, events_from):
+                remaining = deadline - loop.time()
+                if remaining <= 0 or not self._accepting:
+                    return False
+                wakeup = self._wakeups.get(record.id)
+                if wakeup is None:
+                    wakeup = self._wakeups[record.id] = asyncio.Event()
+                try:
+                    await asyncio.wait_for(wakeup.wait(), remaining)
+                except asyncio.TimeoutError:
+                    return _ready(record, events_from)
+            return True
+        finally:
+            self._held -= 1
+
+    def _wake(self, record: RequestRecord) -> None:
+        """Release the calls held on ``record`` and on its followers."""
+        if not self._wakeups:
+            return
+        for each in (record, *record.followers):
+            wakeup = self._wakeups.pop(each.id, None)
+            if wakeup is not None:
+                wakeup.set()
+
     # -- completion ---------------------------------------------------------
 
     def _finish(
@@ -367,6 +431,7 @@ class Broker:
             follower.finished = now
             self.counters["completed"] += 1
             self._observe_done(follower)
+        self._wake(record)
 
     def _fail(self, record: RequestRecord, message: str) -> None:
         record.error = message
@@ -380,6 +445,7 @@ class Broker:
             follower.finished = record.finished
             self.counters["failed"] += 1
             self._observe_done(follower)
+        self._wake(record)
 
     def _observe_done(self, record: RequestRecord) -> None:
         """Latency histogram + broker-side spans for a terminal record.
@@ -427,6 +493,7 @@ class Broker:
         record = self._records.get(request_id)
         if record is not None:
             record.events.append(event)
+            self._wake(record)
 
     # -- the work loop ------------------------------------------------------
 
@@ -540,6 +607,8 @@ class Broker:
                 "limit": self.queue_limit,
                 "in_flight": len(self._inflight),
                 "busy": self._busy,
+                # Calls parked in hold() right now (held /result, /status).
+                "held": self._held,
                 "retry_after_hint": self.retry_after_hint(),
                 # The drain-rate estimate behind retry_after_hint, exposed so
                 # /metrics and humans reading /stats see the same numbers.

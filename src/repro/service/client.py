@@ -6,30 +6,34 @@ exposes:
 
 * ``submit(body)`` / ``submit_run(target, options)`` /
   ``submit_simulate(...)`` — admission (raises :class:`ServiceBusy` on
-  429/503);
-* ``status(id)`` / ``result(id)`` / ``stats()`` — the read endpoints;
-* ``wait(id, on_event=...)`` — poll until done, streaming newly observed
-  pipeline events to ``on_event`` (incremental ``events_from`` cursors, so
-  each event is delivered exactly once);
+  429/503).  ``submit`` never blocks on the work itself;
+* ``status(id)`` / ``result(id)`` / ``stats()`` — the read endpoints.
+  ``result(id)`` right after a ``done`` submit answers from that reply,
+  which carries the result, so a cache hit costs one HTTP call;
+* ``wait(id, on_event=...)`` — a loop of held calls until the request
+  finishes: without ``on_event`` each is a ``/result?wait=S`` the server
+  answers as soon as the record is terminal (a miss costs submit plus one
+  call); with ``on_event`` each is a ``/status?events_from=N&wait=S`` that
+  returns as soon as new pipeline events exist, delivered to ``on_event``
+  exactly once;
 * ``submit_and_wait(...)`` — the one-call convenience the CLI uses.
 
 Resilience: every exchange runs under the shared
 :data:`~repro.resilience.retry.CLIENT_RETRY` policy (connection drops —
 including injected ``connection`` faults — retry with jittered backoff;
 re-submitting after a dropped response is safe because identical requests
-coalesce server-side), ``wait`` polls on the policy's growing backoff
-schedule instead of a fixed busy interval, and ``submit_and_wait`` honors
+coalesce server-side), each hold is capped at half the client's socket
+``timeout`` so a held call never trips it, and ``submit_and_wait`` honors
 the server's ``retry_after`` hint when shed with a 429.  A 503 means the
 server is draining for good and is never retried.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from http.client import HTTPConnection
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.obs.trace import TRACE_FIELD, current_context
 from repro.resilience import faults as _faults
@@ -107,6 +111,8 @@ def _raise_for(status: int, payload: Any) -> None:
         hint = payload.get("retry_after")
         if isinstance(hint, (int, float)) and hint > 0:
             retry_after = float(hint)
+        if payload.get("status") == "failed":
+            raise RequestFailed(status, message or "failed")
     if status in (429, 503):
         raise ServiceBusy(status, message or "service busy", retry_after)
     raise ServiceError(status, message or "request rejected")
@@ -126,6 +132,8 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self.retry = retry if retry is not None else CLIENT_RETRY
+        # (id, /result document) of the last submit that came back done.
+        self._done: Optional[Tuple[str, Dict[str, Any]]] = None
 
     # -- transport ----------------------------------------------------------
 
@@ -160,7 +168,15 @@ class ServiceClient:
     # -- endpoints ----------------------------------------------------------
 
     def submit(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        return self._request("POST", "/submit", _traced_body(body))
+        record = self._request("POST", "/submit", _traced_body(body))
+        if record.get("status") == "done" and "result" in record:
+            self._done = (record["id"], {
+                "id": record["id"],
+                "status": "done",
+                "cached": record.get("cached"),
+                "result": record["result"],
+            })
+        return record
 
     def submit_run(
         self,
@@ -175,14 +191,40 @@ class ServiceClient:
     def submit_simulate(self, scenario: str, **spec: Any) -> Dict[str, Any]:
         return self.submit({"kind": "simulate", "scenario": scenario, **spec})
 
-    def status(self, request_id: str, events_from: int = 0) -> Dict[str, Any]:
-        path = f"/status/{request_id}"
+    def status(
+        self,
+        request_id: str,
+        events_from: int = 0,
+        wait: Optional[float] = None,
+    ) -> Dict[str, Any]:
+        """The ``/status`` view; ``wait`` holds until events beyond
+        ``events_from`` exist or the request is terminal."""
+        query = []
         if events_from:
-            path += f"?events_from={events_from}"
+            query.append(f"events_from={events_from}")
+        if wait is not None:
+            query.append(f"wait={wait:g}")
+        path = f"/status/{request_id}"
+        if query:
+            path += "?" + "&".join(query)
         return self._request("GET", path)
 
-    def result(self, request_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/result/{request_id}")
+    def result(
+        self, request_id: str, wait: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """The ``/result`` document (status only while pending).
+
+        Answered with no call when the last submit returned this request
+        already done; ``wait`` holds until the request is terminal.
+        """
+        done = self._done
+        if done is not None and done[0] == request_id:
+            self._done = None
+            return done[1]
+        path = f"/result/{request_id}"
+        if wait is not None:
+            path += f"?wait={wait:g}"
+        return self._request("GET", path)
 
     def stats(self) -> Dict[str, Any]:
         return self._request("GET", "/stats")
@@ -225,44 +267,47 @@ class ServiceClient:
         poll_interval: Optional[float] = None,
         on_event: Optional[OnEvent] = None,
     ) -> Dict[str, Any]:
-        """Poll until the request finishes; returns the result document.
+        """Hold until the request finishes; returns the result document.
 
-        ``on_event`` receives each newly observed pipeline-event dict once,
-        in order — the polling consumer of the server's event stream.
+        Without ``on_event`` this is a loop of held ``/result`` calls, one
+        call when the request finishes within a hold.  With ``on_event``
+        it holds on ``/status`` instead, and ``on_event`` receives each
+        newly observed pipeline-event dict once, in order.  Each hold lasts
+        at most half the client's socket ``timeout`` (the server caps it
+        further) and never outlasts ``timeout``.  ``poll_interval`` is
+        unused: it is kept so callers written for the polling client work.
 
-        Polling backs off on the retry policy's growing (jittered) schedule
-        — quick first checks, settling at the policy's ``max_delay`` — so many
-        waiting clients do not busy-hammer the status endpoint.
-        Pass ``poll_interval`` to force a fixed cadence instead.
+        Raises:
+            RequestFailed: The request failed server-side.
+            TimeoutError: Still pending after ``timeout`` seconds.
         """
+        del poll_interval
         deadline = None if timeout is None else time.monotonic() + timeout
         cursor = 0
-        delays = (
-            itertools.repeat(float(poll_interval))
-            if poll_interval is not None
-            else self.retry.poll_delays(salt=f"wait:{request_id}")
-        )
-        for delay in delays:
-            status = self.status(request_id, events_from=cursor)
-            events = status.get("events", [])
-            if on_event is not None:
+        while True:
+            hold = self.timeout / 2
+            if deadline is not None:
+                hold = min(hold, max(0.0, deadline - time.monotonic()))
+            if on_event is None:
+                reply = self.result(request_id, wait=hold)
+                state = reply.get("status")
+                if state == "done":
+                    return reply
+            else:
+                reply = self.status(request_id, events_from=cursor, wait=hold)
+                events = reply.get("events", [])
                 for event in events:
                     on_event(event)
-            cursor = int(status.get("events_seen", cursor + len(events)))
-            state = status.get("status")
-            if state == "done":
-                return self.result(request_id)
-            if state == "failed":
-                raise RequestFailed(500, str(status.get("error", "failed")))
-            if deadline is not None and time.monotonic() > deadline:
+                cursor = int(reply.get("events_seen", cursor + len(events)))
+                state = reply.get("status")
+                if state == "done":
+                    return self.result(request_id)
+                if state == "failed":
+                    raise RequestFailed(500, str(reply.get("error", "failed")))
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"request {request_id} still {state!r} after {timeout}s"
                 )
-            if deadline is not None:
-                # Never sleep past the caller's timeout check.
-                delay = min(delay, max(0.0, deadline - time.monotonic()))
-            time.sleep(delay)
-        raise RuntimeError("poll schedule ended")  # pragma: no cover
 
     def submit_and_wait(
         self,

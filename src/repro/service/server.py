@@ -5,14 +5,18 @@ Stdlib only: a tiny HTTP/1.1 implementation over ``asyncio.start_server``
 no chunking).  Endpoints:
 
 ========================  ====================================================
-``POST /submit``          Admit a request; 200 with the record (may already
-                          be ``done`` on a cache hit), 400 malformed,
-                          429 queue full, 503 draining.
+``POST /submit``          Admit a request; 200 with the record, 400
+                          malformed, 429 queue full, 503 draining.  A
+                          record already ``done`` (a cache hit) also carries
+                          ``result``, so a hit costs one call.
 ``GET /status/<id>``      Record status + progress events.  ``?events_from=N``
                           returns only events N onwards (incremental
-                          streaming for polling clients).
+                          streaming); ``&wait=S`` holds the call until there
+                          are events beyond N or the record is terminal.
 ``GET /result/<id>``      The result document (200), 202 while pending,
-                          404 unknown, 500 failed.
+                          404 unknown, 500 failed.  ``?wait=S`` holds the
+                          call until the record is terminal or S seconds
+                          pass.
 ``GET /stats``            Broker/cache/queue counters.
 ``GET /metrics``          Prometheus text exposition of the same counters
                           (plus latency histograms and process-global
@@ -22,6 +26,10 @@ no chunking).  Endpoints:
 ``GET /healthz``          Liveness probe.
 ``POST /shutdown``        Graceful drain + exit (what SIGTERM does).
 ========================  ====================================================
+
+A hold of ``wait=S`` is clamped to :data:`READ_TIMEOUT_S`; an ``S`` that is
+not a non-negative number is answered 400.  A drain releases every held call
+at once: one whose record is not ready gets 503.
 
 Any endpoint answers 400 to a ``Content-Length`` that is not a
 non-negative integer, 431 to a request-head line longer than
@@ -39,13 +47,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import os
 import signal
 import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import trace as _trace
-from repro.service.broker import Broker
+from repro.service.broker import Broker, RequestRecord
 from repro.service.protocol import (
     QueueFullError,
     RequestError,
@@ -308,6 +317,9 @@ class ServiceServer:
         if self._digest_task is not None:
             self._digest_task.cancel()
             self._digest_task = None
+        # Release held calls first: the listener's wait_closed waits for
+        # open connections, and a drain must never sit behind a hold.
+        self.broker.stop_accepting()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -399,9 +411,9 @@ class ServiceServer:
         if method == "POST" and path == "/submit":
             return await self._submit(body)
         if method == "GET" and path.startswith("/status/"):
-            return self._status(path[len("/status/"):], query)
+            return await self._status(path[len("/status/"):], query)
         if method == "GET" and path.startswith("/result/"):
-            return self._result(path[len("/result/"):])
+            return await self._result(path[len("/result/"):], query)
         if method == "GET" and path == "/stats":
             return 200, self.broker.stats()
         if method == "GET" and path == "/metrics":
@@ -430,24 +442,52 @@ class ServiceServer:
             }
         except ShuttingDownError as exc:
             return 503, {"error": str(exc)}
-        return 200, record.describe()
+        reply = record.describe()
+        if record.status == "done":
+            reply["result"] = record.result
+        return 200, reply
 
-    def _status(self, request_id: str, query: str) -> Tuple[int, Any]:
+    async def _lookup(
+        self, request_id: str, query: Dict[str, str], events_from: Optional[int]
+    ) -> Tuple[Optional[RequestRecord], Optional[Tuple[int, Any]]]:
+        """The record a read endpoint answers for, after its ``wait`` hold.
+
+        Returns ``(record, None)``, or ``(None, reply)`` with the 400, 404
+        or 503 reply to send instead.  ``events_from`` (None for
+        ``/result``) makes the hold also end on events beyond that cursor.
+        """
+        try:
+            seconds = _wait_seconds(query)
+        except RequestError as exc:
+            return None, (400, {"error": str(exc)})
         record = self.broker.get(request_id)
         if record is None:
-            return 404, {"error": f"unknown request {request_id!r}"}
-        events_from = 0
-        if query.startswith("events_from="):
-            try:
-                events_from = max(0, int(query.split("=", 1)[1]))
-            except ValueError:
-                events_from = 0
+            return None, (404, {"error": f"unknown request {request_id!r}"})
+        if seconds is not None:
+            ready = await self.broker.hold(record, seconds, events_from)
+            if not ready and not self.broker.accepting:
+                return None, (
+                    503, {"id": record.id, "error": "service is shutting down"}
+                )
+        return record, None
+
+    async def _status(self, request_id: str, query: str) -> Tuple[int, Any]:
+        params = _query_params(query)
+        try:
+            events_from = max(0, int(params.get("events_from", "0")))
+        except ValueError:
+            events_from = 0
+        record, reply = await self._lookup(request_id, params, events_from)
+        if reply is not None:
+            return reply
         return 200, record.describe(events_from=events_from)
 
-    def _result(self, request_id: str) -> Tuple[int, Any]:
-        record = self.broker.get(request_id)
-        if record is None:
-            return 404, {"error": f"unknown request {request_id!r}"}
+    async def _result(self, request_id: str, query: str) -> Tuple[int, Any]:
+        record, reply = await self._lookup(
+            request_id, _query_params(query), None
+        )
+        if reply is not None:
+            return reply
         status = record.status
         if status == "failed":
             return 500, {"id": record.id, "status": status, "error": record.error}
@@ -459,6 +499,34 @@ class ServiceServer:
             "cached": record.cached,
             "result": record.result,
         }
+
+
+def _query_params(query: str) -> Dict[str, str]:
+    """``a=1&b=2`` -> ``{"a": "1", "b": "2"}`` (the last repeat wins)."""
+    params = {}
+    for part in query.split("&"):
+        name, _, value = part.partition("=")
+        if name:
+            params[name] = value
+    return params
+
+
+def _wait_seconds(params: Dict[str, str]) -> Optional[float]:
+    """The ``wait=S`` hold clamped to READ_TIMEOUT_S; None when absent.
+
+    Raises:
+        RequestError: ``S`` is not a non-negative number (NaN included).
+    """
+    raw = params.get("wait")
+    if raw is None:
+        return None
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0.0:
+        raise RequestError(f"invalid wait {raw!r}: not a non-negative number")
+    return min(seconds, READ_TIMEOUT_S)
 
 
 async def _serve_async(server: ServiceServer) -> int:

@@ -34,6 +34,9 @@ def rrg_fingerprint(rrg: RRG) -> Tuple:
     edge endpoints and branch probabilities.  Token/buffer vectors are *not*
     part of the fingerprint — they vary per configuration and enter the
     throughput-cache key separately.
+
+    Equal fingerprints are returned as one shared object, so the many
+    cache keys and service records of one graph do not each hold a copy.
     """
     nodes = tuple(
         (node.name, float(node.delay), bool(node.early)) for node in rrg.nodes
@@ -46,7 +49,15 @@ def rrg_fingerprint(rrg: RRG) -> Tuple:
         )
         for edge in rrg.edges
     )
-    return (rrg.name, nodes, edges)
+    fingerprint = (rrg.name, nodes, edges)
+    if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
+        _FINGERPRINTS.clear()  # interning only shares memory; never stale
+    return _FINGERPRINTS.setdefault(fingerprint, fingerprint)
+
+
+#: Interned fingerprints (each maps to itself), bounded by clearing.
+_FINGERPRINTS: Dict[Tuple, Tuple] = {}
+_FINGERPRINTS_MAX = 256
 
 
 class _EdgePairs(dict):
@@ -79,17 +90,28 @@ def vector_key(
     Takes the sparse ``{edge: count}`` form or the dense per-edge sequence
     (numpy ints allowed).  A dense vector gives the key of its dict with
     every edge present, ``((0, c0), (1, c1), ...)`` of plain ints, so both
-    forms share in-memory and persistent cache entries.
+    forms share in-memory and persistent cache entries.  Both forms build
+    the key from the shared pair tables.
     """
     if isinstance(vector, Mapping):
-        return tuple(sorted((int(k), int(v)) for k, v in vector.items()))
+        items = sorted((int(k), int(v)) for k, v in vector.items())
+        if not items or items[0][0] < 0:
+            return tuple(items)
+        tables = _edge_pair_tables(items[-1][0] + 1)
+        return tuple([tables[edge][count] for edge, count in items])
+    tables = _edge_pair_tables(len(vector))
+    return tuple(map(dict.__getitem__, tables, vector))
+
+
+def _edge_pair_tables(edges: int) -> List[_EdgePairs]:
+    """The pair tables, grown to cover edge indices below ``edges``."""
     tables = _EDGE_PAIRS
-    if len(tables) < len(vector):
+    if len(tables) < edges:
         with _EDGE_PAIRS_LOCK:
             tables.extend(
-                _EdgePairs(edge) for edge in range(len(tables), len(vector))
+                _EdgePairs(edge) for edge in range(len(tables), edges)
             )
-    return tuple(map(dict.__getitem__, tables, vector))
+    return tables
 
 
 class LruCache:

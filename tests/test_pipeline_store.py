@@ -1,9 +1,14 @@
 """Tests for the persistent artifact store (repro.pipeline.store)."""
 
+import hashlib
 import json
 import os
+from typing import Any, Mapping
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.events import EventLog
 from repro.pipeline.runner import run_jobs
@@ -19,6 +24,7 @@ from repro.pipeline.store import (
     attach_persistent_throughputs,
     content_key,
 )
+from repro.service.protocol import prepare_request, result_artifact_key
 from repro.sim import cache as sim_cache
 
 
@@ -31,7 +37,93 @@ def tiny_job(cycles=800, epsilon=0.2, alpha=0.9, job_id="tiny"):
     )
 
 
+def _reference_canonical(value: Any) -> Any:
+    """A frozen copy of the original ``isinstance``-chain canonicaliser:
+    the fast type dispatch must encode every payload exactly like it."""
+    if isinstance(value, Mapping):
+        return {str(k): _reference_canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [_reference_canonical(v) for v in value]
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    if isinstance(value, float):
+        return float(value)
+    return repr(value)
+
+
+def _reference_key(payload: Any) -> str:
+    text = json.dumps(
+        _reference_canonical(payload), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class _Float(float):
+    def __repr__(self) -> str:
+        return f"_Float({float(self)!r})"
+
+
+_LEAVES = (
+    st.integers(-(2**70), 2**70)
+    | st.text(max_size=6)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(allow_nan=False).map(_Float)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(0, 255).map(np.uint8)
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(
+            st.text(max_size=4) | st.integers(-5, 5) | st.booleans(),
+            children,
+            max_size=4,
+        )
+    ),
+    max_leaves=20,
+)
+
+
 class TestContentKeys:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_content_key_matches_the_reference_encoding(self, payload):
+        assert content_key(payload) == _reference_key(payload)
+
+    def test_recorded_store_keys_do_not_change(self):
+        assert content_key(
+            {"b": 2, "a": (1, 2.5, None), 3: [True, {"x": -0.0}]}
+        ) == "fb998a99a8ef347ced4556aeffdaea6a95d0180c46d409433f58b4f1fd806774"
+        simulate = prepare_request({
+            "kind": "simulate", "scenario": "figure2",
+            "params": {"alpha": 0.8}, "cycles": 500, "seed": 3,
+        })
+        assert simulate.key == (
+            "21d7e39c2a56cdf9c5b8ac06754ab90ffad09b698575f00d7708e2b0012a0830"
+        )
+        assert simulate.batch_key == (
+            "73d0a3d094ba844c46c01a66e85c4d61b0384b1bbf81bd75e28cab8bc8819afc"
+        )
+        run = prepare_request({
+            "kind": "run", "target": "figure1a",
+            "options": {"params": {"alpha": 0.9}, "cycles": 600,
+                        "epsilon": 0.2},
+        })
+        assert run.key == (
+            "fb8fb1b5f00de77189a11e1d55bbfeb8a5b2304cadf4fe01b4dafde4fe0b11e0"
+        )
+        assert result_artifact_key(run.key) == (
+            "f4f984802e6d693c375c583f4307ea971ab3ea81312879fdb5efa75b98de1129"
+        )
+        job = tiny_job()
+        assert job_store_key(job, job.build.build()) == (
+            "7325a2999dc5d839768455b0238fabe72903f2fc48f321ded53e171d0e344b92"
+        )
+
     def test_content_key_is_stable_and_order_insensitive(self):
         a = content_key({"b": 2, "a": (1, 2.5, None)})
         b = content_key({"a": [1, 2.5, None], "b": 2})

@@ -187,14 +187,6 @@ class TestRetryPolicy:
             RetryPolicy(attempts=5).call(broken, sleep=lambda _: None)
         assert seen == [0]
 
-    def test_poll_delays_grow_then_plateau(self):
-        policy = RetryPolicy(
-            attempts=3, base_delay=0.05, multiplier=2.0, max_delay=0.2,
-            jitter=0.0,
-        )
-        schedule = [delay for delay, _ in zip(policy.poll_delays(), range(6))]
-        assert schedule == [0.05, 0.1, 0.2, 0.2, 0.2, 0.2]
-
 
 class TestDeadline:
     def test_after_and_remaining(self):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.presets import RunOptions, run_preset
 from repro.experiments.reporting import render_event_json
+from repro.obs.metrics import parse_metrics
 from repro.pipeline.events import PipelineEvent
 from repro.resilience.retry import RetryPolicy
 from repro.service import (
@@ -431,6 +432,28 @@ class TestHttpEndToEnd:
         assert hits == 1
         assert elapsed < 5.0  # a cache hit never pays the MILP
 
+    def test_done_submit_carries_its_result(self, live_server, monkeypatch):
+        _, client = live_server
+        body = {**SIM_BODY, "seed": 77}
+        computed = client.submit_and_wait(body, timeout=60)
+        record = client.submit(dict(body))
+        assert record["status"] == "done"
+        assert record["result"] == computed["result"]
+        exchanges = []
+        exchange = client._exchange_once
+        monkeypatch.setattr(
+            client, "_exchange_once",
+            lambda *args: exchanges.append(args) or exchange(*args),
+        )
+        # The first result() answers from the submit reply, with no call;
+        # the reply is used once, so the second asks /result itself.
+        cached = client.result(record["id"])
+        assert exchanges == []
+        fetched = client.result(record["id"])
+        assert len(exchanges) == 1
+        assert json.dumps(cached) == json.dumps(fetched)
+        assert fetched["cached"] in ("memory", "store")
+
     def test_events_stream_to_the_waiting_client(self, live_server):
         _, client = live_server
         body = {
@@ -499,6 +522,10 @@ class TestHttpEndToEnd:
         # published, not private: after at least one completed request the
         # EMA and its rps reciprocal exist.
         queue = stats["queue"]
+        # No call is held between tests; /metrics mirrors the same gauge.
+        assert queue["held"] == 0
+        exposition = parse_metrics(client.metrics())
+        assert exposition["repro_queue_held"] == {(): 0.0}
         assert "ema_request_seconds" in queue
         assert "drain_rate_rps" in queue
         if queue["ema_request_seconds"]:
@@ -584,6 +611,225 @@ class TestServiceBusySurface:
             assert len(calls) == 1
 
 
+def _gated_execute(release, events=0, fail=False):
+    """An ``execute_group`` stand-in: emits ``events`` events per request,
+    blocks until ``release`` is set, then answers (or raises)."""
+
+    def execute(group, store=None, shards=1, emit=None):
+        for number in range(events):
+            for request_id in group.request_ids:
+                emit(request_id, {"kind": "step", "n": number})
+            time.sleep(0.02)
+        release.wait(timeout=30)
+        if fail:
+            raise RuntimeError("gated failure")
+        return [{"value": 42} for _ in group.requests]
+
+    return execute
+
+
+def _in_thread(call):
+    """Run ``call`` on a thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def run():
+        started = time.monotonic()
+        try:
+            outcome["value"] = call()
+        except Exception as exc:  # noqa: BLE001 — handed to the test
+            outcome["error"] = exc
+        outcome["finished"] = time.monotonic()
+        outcome["seconds"] = outcome["finished"] - started
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+def _until_held(client, count=1):
+    deadline = time.monotonic() + 10
+    while client.stats()["queue"]["held"] < count:
+        assert time.monotonic() < deadline, "the call never parked"
+        time.sleep(0.01)
+
+
+class TestHeldCalls:
+    def test_held_result_returns_as_soon_as_the_record_finishes(
+        self, monkeypatch
+    ):
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group", _gated_execute(release)
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(port=server.port, timeout=30)
+                record = client.submit(RUN_BODY)
+                thread, outcome = _in_thread(
+                    lambda: client.result(record["id"], wait=20)
+                )
+                _until_held(client)
+                # While parked, the hold is counted in /stats and /metrics.
+                exposition = parse_metrics(client.metrics())
+                assert exposition["repro_queue_held"] == {(): 1.0}
+                release.set()
+                thread.join(timeout=30)
+                assert outcome["value"] == {
+                    "id": record["id"], "status": "done", "cached": None,
+                    "result": {"value": 42},
+                }
+                assert outcome["seconds"] < 5.0  # woken, not timed out
+                assert client.stats()["queue"]["held"] == 0
+            finally:
+                release.set()
+
+    def test_held_result_answers_202_after_the_hold(self, monkeypatch):
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group", _gated_execute(release)
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(port=server.port, timeout=30)
+                record = client.submit(RUN_BODY)
+                started = time.monotonic()
+                reply = client.result(record["id"], wait=0.3)
+                elapsed = time.monotonic() - started
+                assert reply["status"] in ("queued", "running")
+                assert "result" not in reply
+                assert 0.3 <= elapsed < 5.0
+                with pytest.raises(TimeoutError):
+                    client.wait(record["id"], timeout=0.3)
+            finally:
+                release.set()
+
+    def test_coalesced_follower_hold_wakes_with_its_primary(
+        self, monkeypatch
+    ):
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group", _gated_execute(release)
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(port=server.port, timeout=30)
+                client.submit(RUN_BODY)
+                follower = client.submit(dict(RUN_BODY))
+                assert follower["cached"] == "coalesced"
+                assert follower["status"] != "done"
+                thread, outcome = _in_thread(
+                    lambda: client.wait(follower["id"], timeout=30)
+                )
+                _until_held(client)
+                release.set()
+                thread.join(timeout=30)
+                assert outcome["value"]["result"] == {"value": 42}
+                assert outcome["value"]["cached"] == "coalesced"
+                assert outcome["seconds"] < 5.0
+            finally:
+                release.set()
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_failure_during_a_hold_raises_request_failed(
+        self, monkeypatch, stream
+    ):
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group",
+            _gated_execute(release, fail=True),
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(port=server.port, timeout=30)
+                record = client.submit(RUN_BODY)
+                on_event = (lambda event: None) if stream else None
+                thread, outcome = _in_thread(
+                    lambda: client.wait(
+                        record["id"], timeout=30, on_event=on_event
+                    )
+                )
+                _until_held(client)
+                release.set()
+                thread.join(timeout=30)
+                assert isinstance(outcome["error"], RequestFailed)
+                assert "gated failure" in str(outcome["error"])
+            finally:
+                release.set()
+
+    def test_on_event_gets_every_event_exactly_once(self, monkeypatch):
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group",
+            _gated_execute(release, events=8),
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(port=server.port, timeout=30)
+                record = client.submit(RUN_BODY)
+                events = []
+                threading.Timer(0.5, release.set).start()
+                document = client.wait(
+                    record["id"], timeout=30, on_event=events.append
+                )
+                assert document["result"] == {"value": 42}
+                assert events == [{"kind": "step", "n": n} for n in range(8)]
+            finally:
+                release.set()
+
+    def test_drain_releases_holds_with_503(self, monkeypatch):
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group", _gated_execute(release)
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(
+                    port=server.port, timeout=30, retry=_fast_retry()
+                )
+                record = client.submit(RUN_BODY)
+                held = [
+                    _in_thread(lambda: client.result(record["id"], wait=20)),
+                    _in_thread(lambda: client.status(record["id"], wait=20)),
+                ]
+                _until_held(client, 2)
+                draining = time.monotonic()
+                client.shutdown()
+                for thread, outcome in held:
+                    thread.join(timeout=30)
+                    assert isinstance(outcome["error"], ServiceBusy)
+                    assert outcome["error"].status == 503
+                    assert outcome["finished"] - draining < 1.0
+            finally:
+                release.set()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "", "1e9", "inf"])
+    def test_wait_is_validated_and_clamped(self, monkeypatch, value):
+        monkeypatch.setattr("repro.service.server.READ_TIMEOUT_S", 0.3)
+        release = threading.Event()
+        monkeypatch.setattr(
+            "repro.service.broker.execute_group", _gated_execute(release)
+        )
+        with ServerThread() as server:
+            try:
+                client = ServiceClient(port=server.port, timeout=30)
+                record = client.submit(RUN_BODY)
+                for path in (f"/result/{record['id']}?wait={value}",
+                             f"/status/{record['id']}?events_from=0"
+                             f"&wait={value}"):
+                    request = f"GET {path} HTTP/1.1\r\n\r\n".encode()
+                    started = time.monotonic()
+                    status, body = _raw_exchange(server.port, request)
+                    if value in ("1e9", "inf"):
+                        # Clamped to the read deadline, then answered.
+                        assert status == (202 if "result" in path else 200)
+                        assert 0.3 <= time.monotonic() - started < 5.0
+                    else:
+                        assert status == 400
+                        assert "invalid wait" in body["error"]
+            finally:
+                release.set()
+
+
 def _fast_retry() -> RetryPolicy:
     return RetryPolicy(attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
@@ -661,6 +907,9 @@ _FUZZ_METHODS = ["GET", "POST", "PUT", "get", "", "G\x00T"]
 _FUZZ_PATHS = [
     "/healthz", "/stats", "/metrics", "/submit", "/status/req-1",
     "/status/req-1?events_from=zz", "/result/req-1", "/trace/abc",
+    "/result/req-1?wait=abc", "/result/req-1?wait=-1",
+    "/result/req-1?wait=nan", "/result/req-1?wait=inf",
+    "/result/req-1?wait=1e9", "/status/req-1?events_from=1&wait=inf",
     "/trace/../x", "/", "/nope", "*", "",
 ]
 _FUZZ_BODIES = [
