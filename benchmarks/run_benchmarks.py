@@ -127,23 +127,25 @@ def _pareto_candidates(rrg, k=8):
 
 
 def _sim_single(configuration):
-    value = simulate_throughput(configuration, cycles=2000, seed=3, use_cache=False)
+    clear_caches()
+    value = simulate_throughput(configuration, cycles=2000, seed=3)
     return {"throughput": round(value, 4)}
 
 
 def _sim_elastic(configuration):
-    value = simulate_elastic_throughput(
-        configuration, cycles=2000, seed=3, use_cache=False
-    )
+    clear_caches()
+    value = simulate_elastic_throughput(configuration, cycles=2000, seed=3)
     return {"throughput": round(value, 4)}
 
 
 def _sim_sweep(candidates):
-    values = simulate_configurations(candidates, cycles=2000, seed=3, use_cache=False)
+    clear_caches()
+    values = simulate_configurations(candidates, cycles=2000, seed=3)
     return {"k": len(candidates), "min_throughput": round(min(values), 4)}
 
 
 def _sim_replicas(rrg):
+    clear_caches()
     values = simulate_replicas(rrg, replicas=64, cycles=5000, seed=5)
     return {"replicas": 64, "mean_throughput": round(float(values.mean()), 4)}
 

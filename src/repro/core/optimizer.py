@@ -128,7 +128,7 @@ def min_effective_cycle_time(
             ``result.best_simulated`` identifies RC_min.
         simulate_seed: Seed shared by all simulation lanes.
         simulate_warmup: Warm-up cycles for the simulation phase (defaults to
-            the simulators' ``max(200, cycles // 10)``).
+            :func:`repro.gmg.simulation.default_warmup`).
 
     Returns:
         An :class:`OptimizationResult`; ``result.best`` is RC_lp_min.

@@ -9,9 +9,9 @@ cross-checks that both estimate the same steady-state throughput.
 compiled engine in :mod:`repro.sim` simulates the same circuit state (channel
 markings, EB-chain latencies, early-join selections) as flat arrays and is
 cross-checked against it firing-for-firing.  The
-:func:`simulate_elastic_throughput` wrapper defaults to the compiled
-engine, which is bit-identical under the same seed; pass
-``engine="reference"`` to force the structural simulator.
+:func:`simulate_elastic_throughput` wrapper runs the compiled engine, which
+is bit-identical under the same seed; run the structural simulator by
+constructing :class:`ElasticSimulator` directly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from typing import Dict, Optional, Union
 from repro.core.configuration import RRConfiguration
 from repro.core.rrg import RRG
 from repro.elastic.circuit import ElasticCircuit
+from repro.gmg.build import source_vectors
+from repro.gmg.simulation import default_warmup
 
 
 @dataclass
@@ -106,7 +108,7 @@ class ElasticSimulator:
         if cycles <= 0:
             raise ValueError("cycles must be positive")
         if warmup is None:
-            warmup = max(200, cycles // 10)
+            warmup = default_warmup(cycles)
         for _ in range(warmup):
             self.step()
         baseline = {
@@ -131,25 +133,17 @@ def simulate_elastic_throughput(
     cycles: int = 10000,
     warmup: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: str = "vector",
-    use_cache: bool = True,
 ) -> float:
     """Convenience wrapper returning just the estimated throughput.
 
-    ``engine="vector"`` (default) runs the compiled engine on the same
-    circuit semantics (bit-identical under the same seed);
-    ``engine="reference"`` runs the structural simulator above.
+    One ``mode="elastic"`` lane of :func:`repro.sim.batch.simulate_vectors`:
+    the compiled engine on the same circuit semantics (bit-identical to
+    :class:`ElasticSimulator` under the same seed).
     """
-    if engine == "reference":
-        simulator = ElasticSimulator(source, seed=seed)
-        return simulator.run(cycles=cycles, warmup=warmup).throughput
-    from repro.sim.batch import simulate_throughput_vector
+    from repro.sim.batch import simulate_vectors
 
-    return simulate_throughput_vector(
-        source,
-        cycles=cycles,
-        warmup=warmup,
-        seed=seed,
-        mode="elastic",
-        use_cache=use_cache,
-    )
+    rrg, token_vector, buffer_vector = source_vectors(source)
+    return simulate_vectors(
+        rrg, [(token_vector, buffer_vector)], cycles=cycles, warmup=warmup,
+        seeds=[seed], mode="elastic",
+    )[0]

@@ -81,10 +81,6 @@ class Table1Result:
     optimization: Optional[OptimizationResult]
 
     @property
-    def best_by_bound(self) -> Table1Row:
-        return min(self.rows, key=lambda r: r.effective_cycle_time_bound)
-
-    @property
     def best_by_simulation(self) -> Table1Row:
         return min(self.rows, key=lambda r: r.effective_cycle_time)
 

@@ -235,6 +235,26 @@ def build_template(rrg: RRG, refine: bool = True) -> TGMGTemplate:
     return template
 
 
+def source_vectors(
+    source: Union[RRG, RRConfiguration],
+    tokens: Optional[Mapping[int, int]] = None,
+    buffers: Optional[Mapping[int, int]] = None,
+) -> Tuple[RRG, Dict[int, int], Dict[int, int]]:
+    """The RRG and token/buffer vectors of a source, with overrides applied.
+
+    ``source`` is an :class:`RRG` (its own assignment) or an
+    :class:`RRConfiguration`; ``tokens``/``buffers`` override single edges.
+    """
+    rrg = source.rrg if isinstance(source, RRConfiguration) else source
+    token_vector = source.token_vector()
+    buffer_vector = source.buffer_vector()
+    if tokens is not None:
+        token_vector.update({int(k): int(v) for k, v in tokens.items()})
+    if buffers is not None:
+        buffer_vector.update({int(k): int(v) for k, v in buffers.items()})
+    return rrg, token_vector, buffer_vector
+
+
 def build_tgmg(
     source: Union[RRG, RRConfiguration],
     tokens: Optional[Mapping[int, int]] = None,
@@ -250,18 +270,7 @@ def build_tgmg(
         buffers: Optional per-edge buffer override (edge index -> R).
         refine: Apply the Procedure 2 refinement (recommended).
     """
-    if isinstance(source, RRConfiguration):
-        rrg = source.rrg
-        token_vector = source.token_vector()
-        buffer_vector = source.buffer_vector()
-    else:
-        rrg = source
-        token_vector = source.token_vector()
-        buffer_vector = source.buffer_vector()
-    if tokens is not None:
-        token_vector.update({int(k): int(v) for k, v in tokens.items()})
-    if buffers is not None:
-        buffer_vector.update({int(k): int(v) for k, v in buffers.items()})
+    rrg, token_vector, buffer_vector = source_vectors(source, tokens, buffers)
     template = build_template(rrg, refine=refine)
     tgmg = template.instantiate(token_vector, buffer_vector, name=f"{rrg.name}-tgmg")
     tgmg.validate()

@@ -20,8 +20,8 @@ is fully determined by these handshake semantics.
 simple per-node implementation that the compiled engine in :mod:`repro.sim`
 is cross-checked against firing-for-firing (``tests/test_sim_engine.py``).
 The module-level wrappers (:func:`simulate_tgmg`, :func:`simulate_throughput`)
-default to the compiled engine, which produces bit-identical results under
-the same seed; pass ``engine="reference"`` to force the oracle.
+run the compiled engine, which produces bit-identical results under the
+same seed; run the oracle by constructing :class:`TGMGSimulator` directly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Union
 
 from repro.core.configuration import RRConfiguration
 from repro.core.rrg import RRG
-from repro.gmg.build import build_tgmg
+from repro.gmg.build import source_vectors
 from repro.gmg.graph import TGMG, GMGError
 
 
@@ -183,24 +183,24 @@ class TGMGSimulator:
         )
 
 
+def default_warmup(cycles: int) -> int:
+    """The warm-up every simulation wrapper uses when none is given."""
+    return max(200, cycles // 10)
+
+
 def simulate_tgmg(
     tgmg: TGMG,
     cycles: int = 10000,
     warmup: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: str = "vector",
 ) -> SimulationResult:
     """Simulate a TGMG and estimate its steady-state throughput.
 
-    ``engine="vector"`` (default) compiles the TGMG and runs it through
-    :func:`repro.sim.batch.run_models`; ``engine="reference"`` runs the
-    pure-Python oracle.  Both are bit-identical under the same seed.
+    Compiles the TGMG and runs it through :func:`repro.sim.batch.run_models`
+    (bit-identical to :class:`TGMGSimulator` under the same seed).
     """
     if warmup is None:
-        warmup = max(200, cycles // 10)
-    if engine == "reference":
-        simulator = TGMGSimulator(tgmg, seed=seed)
-        return simulator.run(cycles=cycles, warmup=warmup)
+        warmup = default_warmup(cycles)
     from repro.sim.batch import run_models
     from repro.sim.engine import compile_tgmg
 
@@ -214,34 +214,18 @@ def simulate_throughput(
     seed: Optional[int] = None,
     tokens: Optional[Mapping[int, int]] = None,
     buffers: Optional[Mapping[int, int]] = None,
-    engine: str = "vector",
-    use_cache: bool = True,
 ) -> float:
     """Estimate the actual throughput of an RRG or configuration by simulation.
 
     The RRG is first translated to its refined TGMG (Procedures 1 and 2), then
     simulated synchronously.  The returned value approximates Theta(RC); its
-    accuracy grows with ``cycles``.
-
-    ``engine="vector"`` (default) goes through the compiled engine with
-    template reuse and a throughput cache keyed by (configuration, cycles,
-    seed); ``engine="reference"`` builds the TGMG and runs the pure-Python
-    oracle.  Both return the same value for the same seed.
+    accuracy grows with ``cycles``.  The run is one lane of
+    :func:`repro.sim.batch.simulate_vectors`, so a seeded result is cached.
     """
-    if engine == "reference":
-        tgmg = build_tgmg(source, tokens=tokens, buffers=buffers, refine=True)
-        return simulate_tgmg(
-            tgmg, cycles=cycles, warmup=warmup, seed=seed, engine="reference"
-        ).throughput
-    from repro.sim.batch import simulate_throughput_vector
+    from repro.sim.batch import simulate_vectors
 
-    return simulate_throughput_vector(
-        source,
-        cycles=cycles,
-        warmup=warmup,
-        seed=seed,
-        tokens=dict(tokens) if tokens is not None else None,
-        buffers=dict(buffers) if buffers is not None else None,
-        mode="tgmg",
-        use_cache=use_cache,
-    )
+    rrg, token_vector, buffer_vector = source_vectors(source, tokens, buffers)
+    return simulate_vectors(
+        rrg, [(token_vector, buffer_vector)], cycles=cycles, warmup=warmup,
+        seeds=[seed], mode="tgmg",
+    )[0]

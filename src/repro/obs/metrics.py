@@ -15,7 +15,7 @@ is merged at render time by
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -97,36 +97,13 @@ class Counter(Metric):
 class Gauge(Metric):
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._callbacks: Dict[LabelKey, Callable[[], float]] = {}
-
     def set(self, value: float, **labels: str) -> None:
         with self._lock:
             self._samples[_label_key(labels)] = float(value)
 
-    def set_function(self, fn: Callable[[], float], **labels: str) -> None:
-        with self._lock:
-            self._callbacks[_label_key(labels)] = fn
-
     def value(self, **labels: str) -> float:
-        key = _label_key(labels)
         with self._lock:
-            callback = self._callbacks.get(key)
-            if callback is None:
-                return self._samples.get(key, 0.0)
-        return float(callback())
-
-    def samples(self) -> List[Tuple[str, LabelKey, float]]:
-        with self._lock:
-            static = dict(self._samples)
-            callbacks = dict(self._callbacks)
-        for key, fn in callbacks.items():
-            try:
-                static[key] = float(fn())
-            except Exception:
-                continue  # a broken gauge must not poison the whole scrape
-        return [(self.name, key, value) for key, value in sorted(static.items())]
+            return self._samples.get(_label_key(labels), 0.0)
 
 
 class Histogram(Metric):

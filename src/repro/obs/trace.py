@@ -189,10 +189,6 @@ def format_trace_ref(trace_id: str, span_id: Optional[str]) -> str:
     return f"{trace_id}/{span_id}" if span_id else trace_id
 
 
-def current_span() -> Optional[Span]:
-    return _current_span.get()
-
-
 def current_trace_id() -> Optional[str]:
     active = _current_span.get()
     return active.trace_id if active is not None else None

@@ -7,13 +7,14 @@ The objective is the measured effective cycle time ``xi = tau / Theta``:
   with no graph copies; the same sweep also yields the critical edges that
   focus move generation);
 * ``Theta`` — throughput, measured by the compiled :mod:`repro.sim` engine:
-  the template is compiled once per RRG (shared with the pipeline's
-  template cache), each candidate only instantiates new marking/latency
-  vectors, and results flow through the shared throughput cache so
-  revisited configurations are dictionary lookups.
+  a pool's surviving candidates are the lanes of one
+  :func:`repro.sim.batch.simulate_vectors` call, so the template is
+  compiled once per RRG, equal candidates are simulated once and revisited
+  configurations are throughput-cache lookups.
 
-Two admissible filters prune candidates before the (dominant) simulation
-cost:
+Every evaluation is a lane of :meth:`SearchProblem.evaluate_batch`
+(:meth:`SearchProblem.evaluate` is its one-lane form).  Two admissible
+filters prune candidates there, before the (dominant) simulation cost:
 
 * ``tau`` itself: ``Theta <= 1`` always, so ``xi >= tau`` — a candidate
   whose cycle time already exceeds the incumbent's ``xi`` cannot win;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,8 +92,7 @@ class SearchProblem:
         self.warmup = int(warmup) if warmup is not None else max(32, cycles // 4)
         self.seed = seed
         self.mode = mode
-        self.fingerprint = _sim_cache.rrg_fingerprint(rrg)
-        self.template = _sim_cache.compiled_template_for(rrg, mode=mode)
+        _sim_cache.compiled_template_for(rrg, mode=mode)  # validates mode
         self.delays: List[float] = [node.delay for node in rrg.nodes]
         self.lp_filter = rrg.num_nodes <= int(lp_filter_max_nodes)
         self._tgmg_template = build_template(rrg, refine=True) if self.lp_filter else None
@@ -127,11 +127,6 @@ class SearchProblem:
         self.lp_solves = 0
 
     # -- cycle time ------------------------------------------------------------
-
-    def cycle_time(self, state: SearchState) -> float:
-        """Longest combinational path delay of the state (O(V + E))."""
-        arrival = self._arrival_times(state)
-        return max(arrival) if arrival else 0.0
 
     def _arrival_times(self, state: SearchState) -> List[float]:
         """Kahn sweep over the zero-buffer subgraph (feasible => acyclic)."""
@@ -196,58 +191,19 @@ class SearchProblem:
         critical.sort()
         return critical
 
-    # -- throughput ------------------------------------------------------------
-
-    def throughput(self, state: SearchState) -> float:
-        """Measured throughput of the state via the compiled engine."""
-        key = _sim_cache.throughput_key(
-            self.fingerprint, self.mode, state.tokens, state.buffers,
-            self.cycles, self.warmup, self.seed,
-        )
-        hit = _sim_cache.cached_throughput(key)
-        if hit is not None:
-            return hit
-        model = self.template.instantiate(
-            state.token_vector(), state.buffer_vector()
-        )
-        value = float(
-            _sim_batch.run_models(
-                [model], [self.seed], self.cycles, self.warmup
-            ).throughputs[0]
-        )
-        _sim_cache.store_throughput(key, value)
-        self.simulations += 1
-        return value
-
     # -- the objective ---------------------------------------------------------
 
     def evaluate(self, state: SearchState) -> Evaluation:
-        """Full evaluation (cycle time + simulated throughput)."""
-        self.evaluations += 1
-        tau = self.cycle_time(state)
-        return Evaluation(cycle_time=tau, throughput=self.throughput(state))
+        """Cycle time and simulated throughput: the one-lane :meth:`evaluate_batch`.
 
-    def evaluate_bounded(
-        self, state: SearchState, threshold: float
-    ) -> Optional[Evaluation]:
-        """Evaluate unless an admissible bound proves ``xi >= threshold``.
-
-        Returns None when the candidate is pruned (it cannot beat the
-        threshold), otherwise the full evaluation.  Counts as one evaluation
-        either way — the racer budgets evaluation *attempts*, which keeps
-        run lengths deterministic whether or not the filters fire.
+        Raises ``ValueError`` when the state has a zero-buffer cycle.
         """
-        self.evaluations += 1
-        tau = self.cycle_time(state)
-        if tau >= threshold:
-            self.pruned_tau += 1
-            return None
-        if self.lp_filter and threshold < math.inf:
-            bound = self.lp_bound(state)
-            if bound > 0 and tau / bound >= threshold:
-                self.pruned_lp += 1
-                return None
-        return Evaluation(cycle_time=tau, throughput=self.throughput(state))
+        [evaluation] = self.evaluate_batch([state])
+        if not math.isfinite(evaluation.cycle_time):
+            raise ValueError(
+                "state has a zero-buffer cycle (infeasible configuration)"
+            )
+        return evaluation
 
     # -- batched evaluation ----------------------------------------------------
 
@@ -259,12 +215,10 @@ class SearchProblem:
         array program: a joint (lane, node) frontier expands along the CSR of
         out-edges, relaxes arrivals with ``np.maximum.at`` and retires
         in-degrees with ``np.subtract.at``.  The arrival of a node is the max
-        over the same float additions the serial sweep performs, so every
-        lane's result is bit-identical to :meth:`cycle_time`.
+        over the same float additions a serial longest-path sweep performs.
 
-        Infeasible lanes (a zero-buffer cycle) yield ``math.inf`` instead of
-        the serial path's ``ValueError`` — batch callers rank candidates and
-        an unreachable one simply never wins.
+        Infeasible lanes (a zero-buffer cycle) yield ``math.inf`` — batch
+        callers rank candidates and an unreachable one simply never wins.
         """
         num_lanes = len(states)
         num_nodes = len(self.delays)
@@ -322,14 +276,17 @@ class SearchProblem:
     ) -> List[Optional[Evaluation]]:
         """Evaluate a pool of candidate states as lanes of one batch.
 
-        With ``threshold`` this is the pooled form of
-        :meth:`evaluate_bounded` — pruned lanes come back ``None`` — and
-        without it the pooled form of :meth:`evaluate`.  Counters advance
-        exactly as the equivalent serial loop would: one evaluation per lane,
-        one simulation per *distinct* uncached configuration (duplicate lanes
-        and cache hits are free), and the shared throughput cache is both
-        consulted and populated with the serial keys, so results are
-        bit-identical whichever path computed them first.
+        With ``threshold`` a lane is pruned (comes back ``None``) when an
+        admissible bound proves ``xi >= threshold``: ``tau >= threshold``
+        (``Theta <= 1``), or, with the LP filter armed and a finite
+        threshold, ``tau / Theta_lp >= threshold``.  Surviving lanes are
+        simulated through :func:`repro.sim.batch.simulate_vectors`.
+
+        Counters: one evaluation per lane whether or not it is pruned (the
+        racer budgets evaluation *attempts*, which keeps run lengths
+        deterministic whether or not the filters fire) and one simulation
+        per *distinct* uncached configuration (duplicate lanes and cache
+        hits are free).
 
         Infeasible lanes never raise: under a threshold they are pruned
         (``tau = inf``), otherwise they evaluate to ``xi = inf``.
@@ -358,52 +315,20 @@ class SearchProblem:
             survivors.append(index)
         if not survivors:
             return results
-        throughputs = self._throughput_batch([states[i] for i in survivors])
+        throughputs, simulated = _sim_batch._simulate_lanes(
+            self.rrg,
+            [(states[i].tokens, states[i].buffers) for i in survivors],
+            self.cycles,
+            self.warmup,
+            [self.seed] * len(survivors),
+            self.mode,
+        )
+        self.simulations += simulated
         for index, value in zip(survivors, throughputs):
             results[index] = Evaluation(
                 cycle_time=float(taus[index]), throughput=value
             )
         return results
-
-    def _throughput_batch(self, states: Sequence[SearchState]) -> List[float]:
-        """Throughputs of many states: cache, dedupe, then one batched run."""
-        keys = [
-            _sim_cache.throughput_key(
-                self.fingerprint, self.mode, state.tokens, state.buffers,
-                self.cycles, self.warmup, self.seed,
-            )
-            for state in states
-        ]
-        values: Dict[Tuple, float] = {}
-        miss_keys: List[Tuple] = []
-        miss_lanes: List[int] = []
-        for lane, key in enumerate(keys):
-            if key in values:
-                continue
-            hit = _sim_cache.cached_throughput(key)
-            if hit is not None:
-                values[key] = hit
-                continue
-            values[key] = math.nan  # placeholder: pending unique miss
-            miss_keys.append(key)
-            miss_lanes.append(lane)
-        if miss_keys:
-            tokens = np.asarray(
-                [states[lane].tokens for lane in miss_lanes], dtype=np.int64
-            )
-            buffers = np.asarray(
-                [states[lane].buffers for lane in miss_lanes], dtype=np.int64
-            )
-            models = self.template.instantiate_batch(tokens, buffers)
-            computed = _sim_batch.run_models(
-                models, [self.seed] * len(models), self.cycles, self.warmup
-            ).throughputs
-            for key, value in zip(miss_keys, computed):
-                value = float(value)
-                _sim_cache.store_throughput(key, value)
-                values[key] = value
-            self.simulations += len(miss_keys)
-        return [values[key] for key in keys]
 
     def lp_bound(self, state: SearchState) -> float:
         """Theta_lp of the state (LP (11) over the shared TGMG template)."""

@@ -43,6 +43,11 @@ from repro.workloads.registry import ScenarioError, has_scenario, resolve_scenar
 
 #: Simulation modes a simulate request may ask for.
 SIMULATION_MODES = ("tgmg", "elastic")
+#: Most simulated cycles (``cycles + warmup``) one simulate request may ask.
+MAX_SIM_CYCLES = 10**7
+#: Largest token or buffer count a simulate request may set on one edge:
+#: the kernel's per-lane scratch grows with the largest edge latency.
+MAX_EDGE_COUNT = 4096
 
 
 class RequestError(ValueError):
@@ -159,8 +164,10 @@ def _int_vector(raw: Any, what: str) -> Dict[int, int]:
         vector = {int(k): int(v) for k, v in raw.items()}
     except (TypeError, ValueError) as exc:
         raise RequestError(f"{what} must map edge indices to integers") from exc
-    if any(v < 0 for v in vector.values()):
-        raise RequestError(f"{what} counts must be non-negative")
+    if any(not 0 <= v <= MAX_EDGE_COUNT for v in vector.values()):
+        raise RequestError(
+            f"{what} counts must lie between 0 and {MAX_EDGE_COUNT}"
+        )
     return vector
 
 
@@ -235,6 +242,10 @@ def _prepare_simulate(body: Mapping[str, Any]) -> PreparedRequest:
         raise RequestError("'warmup' must be an integer") from exc
     if warmup < 0:
         raise RequestError("'warmup' must be non-negative")
+    if cycles + warmup > MAX_SIM_CYCLES:
+        raise RequestError(
+            f"'cycles' + 'warmup' must not exceed {MAX_SIM_CYCLES}"
+        )
     raw_seed = body.get("seed", 0)
     if raw_seed is None:
         raise RequestError(

@@ -27,6 +27,11 @@ no chunking).  Endpoints:
 ``POST /shutdown``        Graceful drain + exit (what SIGTERM does).
 ========================  ====================================================
 
+A simulate submit is answered 400 when ``cycles + warmup`` exceeds
+:data:`repro.service.protocol.MAX_SIM_CYCLES` (10^7) or a ``tokens`` or
+``buffers`` count lies outside 0 ..
+:data:`repro.service.protocol.MAX_EDGE_COUNT` (4096).
+
 A hold of ``wait=S`` is clamped to :data:`READ_TIMEOUT_S`; an ``S`` that is
 not a non-negative number is answered 400.  A drain releases every held call
 at once: one whose record is not ready gets 503.

@@ -12,7 +12,7 @@ active.  See ``docs/performance.md``.
 from repro.sim.batch import (
     simulate_configurations,
     simulate_replicas,
-    simulate_throughput_vector,
+    simulate_vectors,
 )
 from repro.sim.cache import cache_stats, clear_caches, compiled_template_for
 from repro.sim.kernels import kernel_backend, kernel_info, use_backend
@@ -43,6 +43,6 @@ __all__ = [
     "kernel_info",
     "simulate_configurations",
     "simulate_replicas",
-    "simulate_throughput_vector",
+    "simulate_vectors",
     "use_backend",
 ]

@@ -2,36 +2,42 @@
 
 Entry points:
 
-* :func:`simulate_throughput_vector` — single-configuration throughput with
-  template reuse and the throughput cache; this is what
-  :func:`repro.gmg.simulation.simulate_throughput` and
-  :func:`repro.elastic.simulator.simulate_elastic_throughput` call.
+* :func:`simulate_vectors` — the one front door that turns lanes (token and
+  buffer vectors of one RRG, each with a seed) into throughputs.  It keys
+  every seeded lane with :func:`repro.sim.cache.throughput_key`, simulates
+  each distinct seeded key once, answers repeats from the throughput cache
+  and runs every miss in one :func:`run_models` batch.  Unseeded lanes are
+  independent random samples: never deduped, never cached.  The gmg and
+  elastic ``simulate_*throughput`` wrappers, the search's candidate
+  evaluation and the optimization service all come through here.
 * :func:`simulate_configurations` — many configurations of the *same* RRG
-  in one batch (lanes differ only in marking/latency vectors).  With the
-  default shared seed each lane is bit-identical to a serial single run.
-* :func:`simulate_replicas` — many independently-seeded replicas of one
-  configuration, for variance estimation.
+  as lanes of one :func:`simulate_vectors` call.
+* :func:`simulate_replicas` — lanes of one configuration with seeds
+  ``seed + i``, for variance estimation.
 
-Every entry point simulates through :func:`run_models`, which runs a whole
-batch as one call into the C kernel (lanes in parallel on the process's
-CPUs) or, on the pure-python fallback, lane by lane through
-:class:`ScalarSimulator`.
+Every lane is simulated by :func:`run_models`, which runs a whole batch as
+one call into the C kernel (lanes in parallel on the process's CPUs) or,
+on the pure-python fallback, lane by lane through :class:`ScalarSimulator`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.configuration import RRConfiguration
 from repro.core.rrg import RRG
+from repro.gmg.build import source_vectors
+from repro.gmg.simulation import default_warmup
 from repro.sim import cache as _cache
 from repro.sim import kernels as _kernels
-from repro.sim.engine import BatchRunResult, CompiledModel
+from repro.sim.engine import BatchRunResult, CompiledModel, dense_lanes
 from repro.sim.scalar import ScalarSimulator
 
 Source = Union[RRG, RRConfiguration]
+#: One per-edge vector: sparse ``{edge: count}`` or dense per-edge counts.
+Vector = Union[Mapping[int, int], Sequence[int]]
 
 
 def run_models(
@@ -73,69 +79,85 @@ def run_models(
     )
 
 
-def default_warmup(cycles: int) -> int:
-    """The warmup the wrappers use when none is given (reference default)."""
-    return max(200, cycles // 10)
-
-
-# Historical private name, kept for callers inside the package.
-_default_warmup = default_warmup
-
-
-def _resolve_vectors(
-    source: Source,
-    tokens: Optional[Dict[int, int]] = None,
-    buffers: Optional[Dict[int, int]] = None,
-) -> Tuple[RRG, Dict[int, int], Dict[int, int]]:
-    if isinstance(source, RRConfiguration):
-        rrg = source.rrg
-        token_vector = source.token_vector()
-        buffer_vector = source.buffer_vector()
-    else:
-        rrg = source
-        token_vector = source.token_vector()
-        buffer_vector = source.buffer_vector()
-    if tokens is not None:
-        token_vector.update({int(k): int(v) for k, v in tokens.items()})
-    if buffers is not None:
-        buffer_vector.update({int(k): int(v) for k, v in buffers.items()})
-    return rrg, token_vector, buffer_vector
-
-
-def simulate_throughput_vector(
-    source: Source,
+def simulate_vectors(
+    rrg: RRG,
+    vectors: Sequence[Tuple[Vector, Vector]],
     cycles: int = 10000,
     warmup: Optional[int] = None,
-    seed: Optional[int] = None,
-    tokens: Optional[Dict[int, int]] = None,
-    buffers: Optional[Dict[int, int]] = None,
+    seeds: Optional[Sequence[Optional[int]]] = None,
     mode: str = "tgmg",
     use_cache: bool = True,
-) -> float:
-    """Estimate one configuration's throughput through the compiled engine."""
+) -> List[float]:
+    """Throughputs of many (token, buffer) markings of one RRG.
+
+    Each lane is a pair of sparse ``{edge: count}`` or dense per-edge
+    vectors and runs with its own seed (``seeds[i]``; every lane is
+    unseeded when ``seeds`` is None).  Values do not depend on how lanes
+    are batched, deduped or cached; ``use_cache=False`` only skips the
+    throughput cache (every distinct lane is simulated).
+    """
+    return _simulate_lanes(rrg, vectors, cycles, warmup, seeds, mode, use_cache)[0]
+
+
+def _simulate_lanes(
+    rrg: RRG,
+    vectors: Sequence[Tuple[Vector, Vector]],
+    cycles: int,
+    warmup: Optional[int],
+    seeds: Optional[Sequence[Optional[int]]],
+    mode: str,
+    use_cache: bool = True,
+) -> Tuple[List[float], int]:
+    """:func:`simulate_vectors` plus how many lanes it actually simulated."""
     if cycles <= 0:
         raise ValueError("cycles must be positive")
     if warmup is None:
-        warmup = _default_warmup(cycles)
-    # An unseeded run must stay an independent random sample; only seeded
-    # (deterministic) results are cacheable.
-    if seed is None:
-        use_cache = False
-    rrg, token_vector, buffer_vector = _resolve_vectors(source, tokens, buffers)
+        warmup = default_warmup(cycles)
+    lane_seeds = list(seeds) if seeds is not None else [None] * len(vectors)
+    if len(lane_seeds) != len(vectors):
+        raise ValueError("need one seed per lane")
+    if not vectors:
+        return [], 0
+
+    # Seeded lanes are deterministic: equal keys share one value, looked up
+    # once.  An unseeded lane is its own independent sample, keyed by its
+    # lane index (never a cache key, never shared).
     fingerprint = _cache.rrg_fingerprint(rrg)
-    key = _cache.throughput_key(
-        fingerprint, mode, token_vector, buffer_vector, cycles, warmup, seed
-    )
-    if use_cache:
-        hit = _cache.cached_throughput(key)
-        if hit is not None:
-            return hit
-    template = _cache.compiled_template_for(rrg, mode=mode)
-    model = template.instantiate(token_vector, buffer_vector)
-    value = float(run_models([model], [seed], cycles, warmup).throughputs[0])
-    if use_cache:
-        _cache.store_throughput(key, value)
-    return value
+    keys: List[Union[int, Tuple]] = []
+    values: Dict[Union[int, Tuple], float] = {}
+    misses: List[int] = []
+    for lane, ((tokens, buffers), seed) in enumerate(zip(vectors, lane_seeds)):
+        if seed is None:
+            keys.append(lane)
+            misses.append(lane)
+            continue
+        key = _cache.throughput_key(
+            fingerprint, mode, tokens, buffers, cycles, warmup, seed
+        )
+        keys.append(key)
+        if key in values:
+            continue
+        hit = _cache.cached_throughput(key) if use_cache else None
+        if hit is None:
+            misses.append(lane)
+            hit = np.nan  # placeholder until the batch below runs
+        values[key] = float(hit)
+
+    if misses:
+        template = _cache.compiled_template_for(rrg, mode=mode)
+        width = template.num_source_edges
+        models = template.instantiate_batch(
+            dense_lanes([vectors[lane][0] for lane in misses], width),
+            dense_lanes([vectors[lane][1] for lane in misses], width),
+        )
+        throughputs = run_models(
+            models, [lane_seeds[lane] for lane in misses], cycles, warmup
+        ).throughputs
+        for lane, value in zip(misses, throughputs.tolist()):
+            values[keys[lane]] = value
+            if use_cache and lane_seeds[lane] is not None:
+                _cache.store_throughput(keys[lane], value)
+    return [values[key] for key in keys], len(misses)
 
 
 def simulate_configurations(
@@ -145,28 +167,20 @@ def simulate_configurations(
     seed: Optional[int] = None,
     seeds: Optional[Sequence[Optional[int]]] = None,
     mode: str = "tgmg",
-    use_cache: bool = True,
 ) -> List[float]:
     """Simulate many configurations of the same RRG in one batched run.
 
     All configurations must share the base graph structure (same nodes,
     edges and probabilities); they may differ arbitrarily in token/buffer
-    vectors.  Each lane runs with its own ``random.Random`` seeded by ``seed``
-    (or ``seeds[i]``), so the returned values are bit-identical to serial
-    :func:`simulate_throughput_vector` calls.
+    vectors.  Lane ``i`` runs with ``seeds[i]`` (default: ``seed`` for
+    every lane), so each value equals a one-configuration
+    :func:`repro.gmg.simulation.simulate_throughput` call with that seed.
 
     Returns one throughput per configuration, in input order.
     """
     if not configurations:
         return []
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
-    if warmup is None:
-        warmup = _default_warmup(cycles)
     lane_seeds = list(seeds) if seeds is not None else [seed] * len(configurations)
-    if len(lane_seeds) != len(configurations):
-        raise ValueError("need one seed per configuration")
-
     base = configurations[0].rrg
     fingerprint = _cache.rrg_fingerprint(base)
     for configuration in configurations:
@@ -181,82 +195,8 @@ def simulate_configurations(
         for configuration in configurations
     ]
     return simulate_vectors(
-        base,
-        vectors,
-        cycles=cycles,
-        warmup=warmup,
-        seeds=lane_seeds,
-        mode=mode,
-        use_cache=use_cache,
+        base, vectors, cycles=cycles, warmup=warmup, seeds=lane_seeds, mode=mode
     )
-
-
-def simulate_vectors(
-    rrg: RRG,
-    vectors: Sequence[Tuple[Dict[int, int], Dict[int, int]]],
-    cycles: int = 10000,
-    warmup: Optional[int] = None,
-    seeds: Optional[Sequence[Optional[int]]] = None,
-    mode: str = "tgmg",
-    use_cache: bool = True,
-) -> List[float]:
-    """Simulate many (token, buffer) markings of one RRG in one batched run.
-
-    The marking-level core of :func:`simulate_configurations`, exposed for
-    callers (the optimization service) whose lanes are described by raw
-    vectors rather than :class:`RRConfiguration` objects.  Each lane runs
-    with its own ``random.Random``, so results are bit-identical to serial
-    :func:`simulate_throughput_vector` calls with the same vectors.
-    """
-    if not vectors:
-        return []
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
-    if warmup is None:
-        warmup = _default_warmup(cycles)
-    lane_seeds = list(seeds) if seeds is not None else [None] * len(vectors)
-    if len(lane_seeds) != len(vectors):
-        raise ValueError("need one seed per lane")
-
-    fingerprint = _cache.rrg_fingerprint(rrg)
-    results: List[Optional[float]] = [None] * len(vectors)
-    misses: List[int] = []
-    keys: List[Tuple] = []
-    for index, (token_vector, buffer_vector) in enumerate(vectors):
-        key = _cache.throughput_key(
-            fingerprint,
-            mode,
-            token_vector,
-            buffer_vector,
-            cycles,
-            warmup,
-            lane_seeds[index],
-        )
-        keys.append(key)
-        # Unseeded lanes are independent random samples — never cached.
-        cacheable = use_cache and lane_seeds[index] is not None
-        hit = _cache.cached_throughput(key) if cacheable else None
-        if hit is not None:
-            results[index] = hit
-        else:
-            misses.append(index)
-
-    if misses:
-        template = _cache.compiled_template_for(rrg, mode=mode)
-        models = [
-            template.instantiate(vectors[i][0], vectors[i][1])
-            for i in misses
-        ]
-        throughputs = run_models(
-            models, [lane_seeds[i] for i in misses], cycles, warmup
-        ).throughputs
-        for lane, index in enumerate(misses):
-            value = float(throughputs[lane])
-            results[index] = value
-            if use_cache and lane_seeds[index] is not None:
-                _cache.store_throughput(keys[index], value)
-
-    return [float(value) for value in results]  # type: ignore[arg-type]
 
 
 def simulate_replicas(
@@ -271,18 +211,16 @@ def simulate_replicas(
 
     Returns the per-replica throughput estimates (useful for confidence
     intervals on the sampling noise).  Replica ``i`` runs with seed
-    ``seed + i`` — the value a serial :func:`simulate_throughput_vector`
-    call with that seed returns — and every replica is unseeded when
-    ``seed`` is None.
+    ``seed + i`` — the value a one-lane :func:`simulate_vectors` call with
+    that seed returns — and every replica is unseeded when ``seed`` is None.
     """
     if replicas <= 0:
         raise ValueError("replicas must be positive")
-    if warmup is None:
-        warmup = _default_warmup(cycles)
-    rrg, token_vector, buffer_vector = _resolve_vectors(source)
-    template = _cache.compiled_template_for(rrg, mode=mode)
-    model = template.instantiate(token_vector, buffer_vector)
+    rrg, token_vector, buffer_vector = source_vectors(source)
     seeds: List[Optional[int]] = (
         [None] * replicas if seed is None else [seed + i for i in range(replicas)]
     )
-    return run_models([model] * replicas, seeds, cycles, warmup).throughputs
+    return np.asarray(simulate_vectors(
+        rrg, [(token_vector, buffer_vector)] * replicas, cycles=cycles,
+        warmup=warmup, seeds=seeds, mode=mode,
+    ))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -158,15 +158,6 @@ class CompiledTemplate:
             np.asarray(buf_src, dtype=np.int64),
         )
 
-    def _resolve(self, split, tok: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        const, tok_pos, tok_src, buf_pos, buf_src = split
-        values = const.copy()
-        if tok_pos.size:
-            values[tok_pos] = tok[tok_src]
-        if buf_pos.size:
-            values[buf_pos] = buf[buf_src]
-        return np.rint(values).astype(np.int64)
-
     def _resolve_batch(self, split, tok: np.ndarray, buf: np.ndarray) -> np.ndarray:
         const, tok_pos, tok_src, buf_pos, buf_src = split
         values = np.tile(const, (tok.shape[0], 1))
@@ -177,20 +168,15 @@ class CompiledTemplate:
         return np.rint(values).astype(np.int64)
 
     def instantiate(
-        self, tokens: Mapping[int, int], buffers: Mapping[int, int]
+        self,
+        tokens: Union[Mapping[int, int], Sequence[int]],
+        buffers: Union[Mapping[int, int], Sequence[int]],
     ) -> CompiledModel:
-        """Resolve the symbolic markings/latencies for one configuration."""
-        tok = np.zeros(self.num_source_edges, dtype=np.float64)
-        buf = np.zeros(self.num_source_edges, dtype=np.float64)
-        for key, value in tokens.items():
-            tok[int(key)] = value
-        for key, value in buffers.items():
-            buf[int(key)] = value
-        marking0 = self._resolve(self._mk, tok, buf)
-        latency = self._resolve(self._lat, tok, buf)
-        if (latency < 0).any():
-            raise GMGError("negative latency in compiled model")
-        return CompiledModel(structure=self.structure, marking0=marking0, latency=latency)
+        """Resolve one configuration: the one-lane :meth:`instantiate_batch`."""
+        width = self.num_source_edges
+        return self.instantiate_batch(
+            dense_lanes([tokens], width), dense_lanes([buffers], width)
+        )[0]
 
     def instantiate_batch(
         self,
@@ -200,8 +186,7 @@ class CompiledTemplate:
         """Resolve ``B`` configurations at once from dense vectors.
 
         ``tokens``/``buffers`` are ``(B, num_source_edges)`` arrays (source
-        RRG edge order).  Each returned model is value-identical to a serial
-        :meth:`instantiate` of the same vectors — lanes only amortise the
+        RRG edge order, see :func:`dense_lanes`); lanes only amortise the
         resolution arithmetic.
         """
         tok = np.asarray(tokens, dtype=np.float64)
@@ -224,6 +209,26 @@ class CompiledTemplate:
             )
             for lane in range(tok.shape[0])
         ]
+
+
+def dense_lanes(
+    vectors: Sequence[Union[Mapping[int, int], Sequence[int]]], width: int
+) -> np.ndarray:
+    """``(lanes, width)`` int64 array of per-edge token or buffer vectors.
+
+    Each lane is the sparse ``{edge: count}`` form (absent edges are 0) or
+    the dense per-edge sequence, as :func:`repro.sim.cache.vector_key`
+    accepts.
+    """
+    rows = []
+    for vector in vectors:
+        if isinstance(vector, Mapping):
+            row = [0] * width
+            for edge, count in vector.items():
+                row[int(edge)] = count
+            vector = row
+        rows.append(vector)
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
 
 
 # -- compilers ----------------------------------------------------------------

@@ -22,8 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.rrg import RRG
 
 
@@ -249,25 +247,3 @@ def large_random_rrg(
         name=name or f"large-{num_nodes}n-{num_edges}e",
         multi_input_nodes=max(2, num_nodes // 8),
     )
-
-
-def largest_scc_structure(
-    graph: nx.DiGraph,
-) -> Tuple[List[str], List[Tuple[str, str]]]:
-    """Extract the largest strongly connected component of a digraph.
-
-    Mirrors the paper's preprocessing of the ISCAS89 circuits: only the
-    largest SCC is kept, the rest of the nodes and edges are removed.
-    """
-    if graph.number_of_nodes() == 0:
-        return [], []
-    components = list(nx.strongly_connected_components(graph))
-    largest = max(components, key=len)
-    nodes = sorted(str(n) for n in largest)
-    node_set = set(nodes)
-    edges = [
-        (str(u), str(v))
-        for u, v in graph.edges()
-        if str(u) in node_set and str(v) in node_set
-    ]
-    return nodes, edges

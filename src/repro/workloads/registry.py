@@ -329,23 +329,6 @@ def random_sweep_family(
     return instances
 
 
-def large_rrg_family(
-    sizes: Sequence[int] = (500, 1000, 2000, 5000),
-    seeds: Iterable[int] = range(2),
-    early_fraction: float = 0.2,
-) -> List[Tuple[str, Dict[str, object]]]:
-    """A size x seed grid of large search workloads (the scale sweep)."""
-    instances: List[Tuple[str, Dict[str, object]]] = []
-    for num_nodes in sizes:
-        instances.extend(scenario_grid(
-            "large-rrg",
-            num_nodes=(int(num_nodes),),
-            early_fraction=(float(early_fraction),),
-            seed=list(seeds),
-        ))
-    return instances
-
-
 def iscas_scale_family(
     scales: Sequence[float] = (0.15, 0.25, 0.5),
     names: Optional[Sequence[str]] = None,

@@ -9,11 +9,12 @@ from repro.analysis.cycle_time import cycle_time
 from repro.core.milp import MilpSettings
 from repro.core.optimizer import min_effective_cycle_time
 from repro.core.throughput import configuration_throughput_bound
+from repro.gmg.simulation import simulate_throughput
 from repro.pipeline.runner import derive_seed
 from repro.search import SearchProblem, SearchState, search_minimize
 from repro.search.portfolio import evaluation_budget
 from repro.search.state import BUBBLE, RETIME, Move
-from repro.sim.batch import simulate_throughput_vector
+from repro.sim.cache import clear_caches
 from repro.workloads.examples import figure1a_rrg
 from repro.workloads.iscas_like import SPEC_BY_NAME, iscas_like_rrg, scaled_spec
 from repro.workloads.random_rrg import large_random_rrg, random_rrg
@@ -61,7 +62,7 @@ class TestSearchState:
         # Materialisation validates R' >= R0' and liveness-by-construction;
         # the cycle-time sweep would raise on a zero-buffer cycle.
         configuration = state.as_configuration(label="walk")
-        assert problem.cycle_time(state) == pytest.approx(
+        assert problem.cycle_times_batch([state])[0] == pytest.approx(
             configuration.cycle_time()
         )
 
@@ -112,7 +113,9 @@ class TestIncrementalEvaluation:
         for _ in range(8):
             random_legal_moves(problem, state, rng, 5)
             expected = cycle_time(midsize, state.buffer_vector())
-            assert problem.cycle_time(state) == pytest.approx(expected)
+            assert problem.cycle_times_batch([state])[0] == pytest.approx(
+                expected
+            )
 
     def test_throughput_matches_full_engine_evaluation(self, midsize):
         problem = SearchProblem(midsize, cycles=200, seed=9)
@@ -121,14 +124,15 @@ class TestIncrementalEvaluation:
         for _ in range(4):
             random_legal_moves(problem, state, rng, 6)
             configuration = state.as_configuration()
-            full = simulate_throughput_vector(
+            measured = problem.evaluate(state).throughput
+            clear_caches()
+            full = simulate_throughput(
                 configuration,
                 cycles=problem.cycles,
                 warmup=problem.warmup,
                 seed=problem.seed,
-                use_cache=False,
             )
-            assert problem.throughput(state) == pytest.approx(full, abs=0)
+            assert measured == full
 
     def test_throughput_matches_reference_simulator(self):
         from repro.gmg.build import build_tgmg
@@ -144,14 +148,12 @@ class TestIncrementalEvaluation:
         reference = TGMGSimulator(tgmg, seed=problem.seed).run(
             cycles=problem.cycles, warmup=problem.warmup
         )
-        assert problem.throughput(state) == pytest.approx(
-            reference.throughput, abs=0
-        )
+        assert problem.evaluate(state).throughput == reference.throughput
 
     def test_critical_edges_are_zero_buffer_and_tight(self, midsize):
         problem = SearchProblem(midsize, cycles=64, seed=5)
         state = SearchState(midsize)
-        tau = problem.cycle_time(state)
+        [tau] = problem.cycle_times_batch([state])
         critical = problem.critical_edges(state)
         assert critical
         for edge in critical:
@@ -159,17 +161,17 @@ class TestIncrementalEvaluation:
         # Bubbling every critical edge must break the maximum path.
         for edge in critical:
             state.apply(Move(BUBBLE, edge, +1))
-        assert problem.cycle_time(state) < tau
+        assert problem.cycle_times_batch([state])[0] < tau
 
 
 class TestAdmissibleFilters:
     def test_tau_filter_prunes_exactly_the_hopeless(self, midsize):
         problem = SearchProblem(midsize, cycles=64, seed=5)
         state = SearchState(midsize)
-        tau = problem.cycle_time(state)
-        assert problem.evaluate_bounded(state, threshold=tau) is None
+        [tau] = problem.cycle_times_batch([state])
+        assert problem.evaluate_batch([state], threshold=tau) == [None]
         assert problem.pruned_tau == 1
-        evaluation = problem.evaluate_bounded(state, threshold=math.inf)
+        [evaluation] = problem.evaluate_batch([state], threshold=math.inf)
         assert evaluation is not None
         assert evaluation.cycle_time == pytest.approx(tau)
 
@@ -181,7 +183,7 @@ class TestAdmissibleFilters:
         for _ in range(3):
             random_legal_moves(problem, state, rng, 4)
             bound = problem.lp_bound(state)
-            measured = problem.throughput(state)
+            measured = problem.evaluate(state).throughput
             assert bound >= measured - 1e-9
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.presets import RunOptions, run_preset
 from repro.experiments.reporting import render_event_json
+from repro.gmg.simulation import simulate_throughput
 from repro.obs.metrics import parse_metrics
 from repro.pipeline.events import PipelineEvent
 from repro.resilience.retry import RetryPolicy
@@ -30,7 +31,8 @@ from repro.service import (
     prepare_request,
 )
 from repro.service.client import RequestFailed, ServiceError
-from repro.sim.batch import simulate_throughput_vector
+from repro.service.protocol import MAX_EDGE_COUNT, MAX_SIM_CYCLES
+from repro.sim.batch import default_warmup
 from repro.sim.cache import clear_caches
 from repro.workloads.registry import build_scenario
 
@@ -81,13 +83,30 @@ class TestProtocol:
         with pytest.raises(RequestError):
             prepare_request({**SIM_BODY, "params": {"alpha": 0.8, "beta": 1}})
 
+    def test_bounds_the_size_of_a_simulate_request(self):
+        # cycles + warmup and every token/buffer count are capped; the
+        # largest accepted values still prepare.
+        fits = MAX_SIM_CYCLES - 10
+        prepare_request({**SIM_BODY, "cycles": fits, "warmup": 10})
+        prepare_request({**SIM_BODY, "buffers": {"0": MAX_EDGE_COUNT}})
+        for body in (
+            {**SIM_BODY, "cycles": MAX_SIM_CYCLES},  # + default warmup
+            {**SIM_BODY, "cycles": fits, "warmup": 11},
+            {**SIM_BODY, "buffers": {"0": MAX_EDGE_COUNT + 1}},
+            {**SIM_BODY, "buffers": {"0": 10**9}},
+            {**SIM_BODY, "tokens": {"1": 4_000_000}},
+            {**SIM_BODY, "tokens": {"0": -1}},
+        ):
+            with pytest.raises(RequestError):
+                prepare_request(body)
+
     def test_simulate_key_normalizes_defaults(self):
         # Explicitly passing a default parameter must key identically to
         # omitting it — otherwise the cache fragments on spelling.
         explicit = prepare_request({**SIM_BODY, "warmup": None})
         spelled = prepare_request({
             **SIM_BODY,
-            "warmup": max(200, SIM_BODY["cycles"] // 10),
+            "warmup": default_warmup(SIM_BODY["cycles"]),
             "mode": "tgmg",
         })
         assert explicit.key == spelled.key
@@ -367,8 +386,9 @@ class TestBroker:
         assert lanes_seen == [("simulate", 3)]  # one group, three lanes
         # Each lane is bit-identical to an independent serial simulation.
         rrg = build_scenario("figure2", {"alpha": 0.8})
+        clear_caches()
         for seed, value in zip(seeds, values):
-            expected = simulate_throughput_vector(
+            expected = simulate_throughput(
                 rrg, cycles=SIM_BODY["cycles"], seed=seed
             )
             assert value == expected
@@ -480,7 +500,7 @@ class TestHttpEndToEnd:
         assert first["result"]["throughput"] == second["result"]["throughput"]
         assert second["cached"] in ("memory", "store")
         rrg = build_scenario("figure2", {"alpha": 0.8})
-        assert first["result"]["throughput"] == simulate_throughput_vector(
+        assert first["result"]["throughput"] == simulate_throughput(
             rrg, cycles=SIM_BODY["cycles"], seed=99
         )
 
@@ -917,6 +937,11 @@ _FUZZ_BODIES = [
     b'{"kind": "run"}', b'{"kind": "run", "target": "no-such-target"}',
     b'{"kind": "simulate", "scenario": "nope"}',
     b'{"kind": "simulate", "scenario": "figure2", "cycles": 60, "seed": 5}',
+    b'{"kind": "simulate", "scenario": "figure2", "cycles": 10000000}',
+    b'{"kind": "simulate", "scenario": "figure2", "cycles": 9999999,'
+    b' "warmup": 9}',
+    b'{"kind": "simulate", "scenario": "figure2", "buffers": {"0": 4097}}',
+    b'{"kind": "simulate", "scenario": "figure2", "buffers": {"0": 1000000000}}',
 ]
 
 

@@ -14,7 +14,11 @@ from repro.core.configuration import RRConfiguration, RetimingVector
 from repro.elastic.simulator import ElasticSimulator, simulate_elastic_throughput
 from repro.gmg.build import build_tgmg
 from repro.gmg.markov import exact_throughput
-from repro.gmg.simulation import TGMGSimulator, simulate_throughput
+from repro.gmg.simulation import (
+    TGMGSimulator,
+    default_warmup,
+    simulate_throughput,
+)
 from repro.sim import (
     ScalarSimulator,
     cache_stats,
@@ -65,10 +69,13 @@ class TestTGMGCrossCheck:
                 assert fired_ref == set(fired)
 
     def test_wrapper_bit_identical_to_reference(self):
+        clear_caches()
         for rrg in (figure1b_rrg(0.5), figure2_rrg(0.8), ring_rrg(5, 2)):
-            vector = simulate_throughput(rrg, cycles=3000, seed=13, use_cache=False)
-            reference = simulate_throughput(rrg, cycles=3000, seed=13, engine="reference")
-            assert vector == reference  # exact float equality
+            vector = simulate_throughput(rrg, cycles=3000, seed=13)
+            reference = TGMGSimulator(build_tgmg(rrg), seed=13).run(
+                cycles=3000, warmup=default_warmup(3000)
+            )
+            assert vector == reference.throughput  # exact float equality
 
 
 class TestElasticCrossCheck:
@@ -94,14 +101,11 @@ class TestElasticCrossCheck:
             )
 
     def test_wrapper_bit_identical_to_reference(self):
+        clear_caches()
         for rrg in (figure1b_rrg(0.5), figure2_rrg(0.7)):
-            vector = simulate_elastic_throughput(
-                rrg, cycles=3000, seed=5, use_cache=False
-            )
-            reference = simulate_elastic_throughput(
-                rrg, cycles=3000, seed=5, engine="reference"
-            )
-            assert vector == reference
+            vector = simulate_elastic_throughput(rrg, cycles=3000, seed=5)
+            reference = ElasticSimulator(rrg, seed=5).run(cycles=3000)
+            assert vector == reference.throughput
 
 
 class TestAgainstExactThroughput:
@@ -116,7 +120,7 @@ class TestAgainstExactThroughput:
 
     def test_ring_exact(self):
         ring = ring_rrg(length=5, total_tokens=2)
-        value = simulate_throughput(ring, cycles=4000, seed=0, use_cache=False)
+        value = simulate_throughput(ring, cycles=4000, seed=0)
         assert value == pytest.approx(2.0 / 5.0, abs=0.01)
 
 
@@ -138,13 +142,12 @@ class TestBatchAPI:
     def test_batch_matches_serial_single_runs(self, count):
         rrg = random_rrg(10, 20, seed=8)
         configurations = self._variant_configurations(rrg, count=count)
-        batched = simulate_configurations(
-            configurations, cycles=1500, seed=4, use_cache=False
-        )
-        serial = [
-            simulate_throughput(c, cycles=1500, seed=4, use_cache=False)
-            for c in configurations
-        ]
+        clear_caches()
+        batched = simulate_configurations(configurations, cycles=1500, seed=4)
+        serial = []
+        for configuration in configurations:
+            clear_caches()
+            serial.append(simulate_throughput(configuration, cycles=1500, seed=4))
         assert batched == serial  # exact float equality, lane per lane
 
     def test_batch_rejects_mixed_structures(self):
@@ -170,10 +173,10 @@ class TestBatchAPI:
         simulate = (
             simulate_throughput if mode == "tgmg" else simulate_elastic_throughput
         )
-        serial = [
-            simulate(rrg, cycles=600, seed=20 + i, use_cache=False)
-            for i in range(4)
-        ]
+        serial = []
+        for i in range(4):
+            clear_caches()
+            serial.append(simulate(rrg, cycles=600, seed=20 + i))
         assert values.tolist() == serial  # exact float equality
 
     def test_unseeded_replicas_stay_independent(self):
@@ -316,8 +319,9 @@ class TestLruCacheExport:
 
         rrg = figure2_rrg(0.7)
         config = RRConfiguration.identity(rrg)
+        clear_caches()
         expected = simulate_configurations(
-            [config, config], cycles=400, seeds=[5, 6], use_cache=False
+            [config, config], cycles=400, seeds=[5, 6]
         )
         vectors = [(config.token_vector(), config.buffer_vector())] * 2
         assert simulate_vectors(

@@ -7,9 +7,10 @@ throughput and the same final engine state.  A batch run through
 :func:`kernels.run_windows` must return exactly the per-lane windows and
 throughputs for any worker count.
 
-On top of that, ``SearchProblem.evaluate_batch`` must return bit-identical
-``Evaluation``s (and advance the shared counters identically) to the
-serial evaluate loop, on every backend, including degenerate lanes.
+On top of that, ``SearchProblem.evaluate_batch`` must match independent
+references on every backend: tau from ``RRConfiguration.cycle_time``,
+Theta from a :class:`TGMGSimulator` run and pruning from the tau/LP rule
+applied by hand, including degenerate lanes.
 """
 
 import math
@@ -19,6 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.throughput import configuration_throughput_bound
+from repro.gmg.build import build_tgmg
+from repro.gmg.simulation import TGMGSimulator
 from repro.search import search_minimize
 from repro.search.problem import SearchProblem
 from repro.search.state import BUBBLE, RETIME, Move, SearchState
@@ -338,53 +342,72 @@ class TestEvaluateBatch:
             out.append(candidate)
         return out
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_looped_evaluate_bitwise(self, backend):
-        rrg = large_random_rrg(80, seed=5)
-        candidates = self._candidates(rrg)
-        with kernels.use_backend(backend):
-            clear_caches()
-            serial_problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
-            serial = [serial_problem.evaluate(s) for s in candidates]
-            clear_caches()
-            batch_problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
-            batch = batch_problem.evaluate_batch(candidates)
-        for left, right in zip(serial, batch):
-            assert left.cycle_time == right.cycle_time
-            assert left.throughput == right.throughput
-        assert batch_problem.evaluations == serial_problem.evaluations
-        assert batch_problem.simulations == serial_problem.simulations
+    @staticmethod
+    def _reference_throughput(rrg, state, problem):
+        tgmg = build_tgmg(
+            rrg, tokens=state.token_vector(), buffers=state.buffer_vector()
+        )
+        return TGMGSimulator(tgmg, seed=problem.seed).run(
+            cycles=problem.cycles, warmup=problem.warmup
+        ).throughput
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bounded_matches_looped_evaluate_bounded(self, backend):
+    def test_matches_independent_reference(self, backend):
+        # tau from RRConfiguration.cycle_time, Theta from the reference
+        # TGMG simulator: both bit for bit.
         rrg = large_random_rrg(80, seed=5)
         candidates = self._candidates(rrg)
         with kernels.use_backend(backend):
             clear_caches()
-            reference = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
-            threshold = reference.evaluate(SearchState(rrg)).effective_cycle_time
+            problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
+            batch = problem.evaluate_batch(candidates)
+        for state, evaluation in zip(candidates, batch):
+            assert evaluation.cycle_time == state.as_configuration().cycle_time()
+            assert evaluation.throughput == self._reference_throughput(
+                rrg, state, problem
+            )
+        assert problem.evaluations == len(candidates)
+        assert problem.simulations == len(
+            {state.signature() for state in candidates}
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bounded_matches_hand_applied_prune_rule(self, backend):
+        rrg = large_random_rrg(80, seed=5)
+        candidates = self._candidates(rrg)
+        with kernels.use_backend(backend):
             clear_caches()
-            serial_problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
-            serial = [
-                serial_problem.evaluate_bounded(s, threshold)
-                for s in candidates
-            ]
-            clear_caches()
-            batch_problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
-            batch = batch_problem.evaluate_batch(candidates, threshold=threshold)
-        assert any(entry is None for entry in serial), "filters never fired"
-        for left, right in zip(serial, batch):
-            assert (left is None) == (right is None)
-            if left is not None:
-                assert left.cycle_time == right.cycle_time
-                assert left.throughput == right.throughput
-        for counter in (
-            "evaluations", "simulations", "pruned_tau", "pruned_lp",
-            "lp_solves",
-        ):
-            assert getattr(batch_problem, counter) == getattr(
-                serial_problem, counter
-            ), counter
+            problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
+            assert problem.lp_filter
+            threshold = problem.evaluate(SearchState(rrg)).effective_cycle_time
+            problem = SearchProblem(rrg, cycles=96, warmup=24, seed=1)
+            batch = problem.evaluate_batch(candidates, threshold=threshold)
+        # The rule by hand: Theta <= 1 prunes tau >= threshold, then the LP
+        # bound Theta <= Theta_lp prunes tau / Theta_lp >= threshold.
+        pruned_tau = pruned_lp = 0
+        survivors = set()
+        for state, evaluation in zip(candidates, batch):
+            configuration = state.as_configuration()
+            tau = configuration.cycle_time()
+            if tau >= threshold:
+                pruned_tau += 1
+                assert evaluation is None
+                continue
+            if tau / configuration_throughput_bound(configuration) >= threshold:
+                pruned_lp += 1
+                assert evaluation is None
+                continue
+            assert evaluation.cycle_time == tau
+            assert evaluation.throughput == self._reference_throughput(
+                rrg, state, problem
+            )
+            survivors.add(state.signature())
+        assert pruned_tau and pruned_lp, "both filters must fire"
+        assert problem.evaluations == len(candidates)
+        assert problem.pruned_tau == pruned_tau
+        assert problem.pruned_lp == pruned_lp
+        assert problem.lp_solves == len(candidates) - pruned_tau
+        assert problem.simulations == len(survivors)
 
     def test_results_are_backend_independent(self):
         rrg = large_random_rrg(80, seed=5)

@@ -12,6 +12,10 @@ three executors:
 For random RRGs, seeds and both simulation modes they must agree on the
 fired set of every cycle (reference vs python), on the window firing
 counts, on the final marking and on the exact float throughput.
+
+Every caller reaches those executors through one front door,
+:func:`repro.sim.batch.simulate_vectors`; its batching, dedup and cache
+must never change a value, and unseeded lanes must stay independent.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -20,8 +24,10 @@ from hypothesis import strategies as st
 from repro.elastic.simulator import ElasticSimulator
 from repro.gmg.build import build_tgmg
 from repro.gmg.simulation import TGMGSimulator
+from repro.sim import batch as sim_batch
 from repro.sim import kernels
-from repro.sim.cache import compiled_template_for
+from repro.sim.batch import simulate_vectors
+from repro.sim.cache import cache_stats, clear_caches, compiled_template_for
 from repro.sim.engine import compile_tgmg
 from repro.sim.scalar import ScalarSimulator
 from repro.workloads.random_rrg import random_rrg
@@ -153,3 +159,94 @@ def test_reference_python_and_kernel_agree(case):
         assert state.marking.tolist() == oracle.marking()
         assert state.firings.tolist() == oracle.firings()
         assert state.cycle == warmup + cycles
+
+
+@st.composite
+def front_door_cases(draw):
+    """A batch of lanes over one random graph: repeated seeded lanes (in
+    sparse and dense form), distinct seeds and unseeded lanes."""
+    num_nodes = draw(st.integers(min_value=2, max_value=8))
+    num_edges = draw(st.integers(min_value=num_nodes, max_value=2 * num_nodes))
+    rrg = random_rrg(
+        num_nodes, num_edges, seed=draw(st.integers(min_value=0, max_value=10_000))
+    )
+    markings = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        buffers = rrg.buffer_vector()
+        # Extra bubbles keep every marking legal.
+        for edge in draw(st.lists(st.integers(0, num_edges - 1), max_size=3)):
+            buffers[edge] += 1
+        markings.append((rrg.token_vector(), buffers))
+    picks = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(markings) - 1),
+            st.sampled_from([None, 3, 4]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    picks += [(0, 3, False), (0, 3, True)]  # one repeated seeded lane
+    lanes, seeds = [], []
+    for marking, seed, dense in picks:
+        tokens, buffers = markings[marking]
+        if dense:
+            tokens = [tokens[edge] for edge in range(num_edges)]
+            buffers = [buffers[edge] for edge in range(num_edges)]
+        lanes.append((tokens, buffers))
+        seeds.append(seed)
+    return {
+        "rrg": rrg,
+        "lanes": lanes,
+        "seeds": seeds,
+        "distinct": {
+            (tuple(markings[m][1].values()), s)
+            for m, s, _ in picks if s is not None
+        },
+        "mode": draw(st.sampled_from(["tgmg", "elastic"])),
+        "cycles": draw(st.integers(min_value=20, max_value=120)),
+        "warmup": draw(st.integers(min_value=0, max_value=20)),
+    }
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=front_door_cases())
+def test_simulate_vectors_dedupes_and_caches_only_seeded_lanes(case):
+    rrg, lanes, seeds = case["rrg"], case["lanes"], case["seeds"]
+    run = dict(cycles=case["cycles"], warmup=case["warmup"], mode=case["mode"])
+    unseeded = seeds.count(None)
+    simulated = []
+    original = sim_batch.run_models
+
+    def counting_run_models(models, lane_seeds, cycles, warmup):
+        simulated.append(list(lane_seeds))
+        return original(models, lane_seeds, cycles, warmup)
+
+    sim_batch.run_models = counting_run_models
+    try:
+        clear_caches()
+        values = simulate_vectors(rrg, lanes, seeds=seeds, **run)
+        first = simulated.pop() if simulated else []
+        cached = cache_stats()["throughput_size"]
+        simulate_vectors(rrg, lanes, seeds=seeds, **run)
+        second = simulated.pop() if simulated else []
+    finally:
+        sim_batch.run_models = original
+
+    # Each distinct seeded lane reaches run_models once; every unseeded
+    # lane does, on every call, and none of them is cached.
+    assert first.count(None) == unseeded
+    assert len(first) - unseeded == len(case["distinct"])
+    assert cached == len(case["distinct"])
+    assert second == [None] * unseeded
+    for lane, seed, value in zip(lanes, seeds, values):
+        if seed is None:
+            assert 0.0 <= value <= 1.0
+            continue
+        clear_caches()
+        [alone] = simulate_vectors(rrg, [lane], seeds=[seed], **run)
+        assert value == alone
