@@ -35,6 +35,33 @@ of ``random.Random(seed).getstate()``, and every draw is ``random()``'s
 the uniforms the reference consumes, bit for bit, and never returns to
 python mid-run.  Lanes share nothing but the read-only structure, so a
 batch's windows do not depend on how many threads ran it.
+
+Packed lanes.  One C loop, ``repro_lane_run``, advances every lane, batch
+or single.  A lane's state is int32 records:
+
+* a 32-byte node record — in-edge range, zero-latency out-range, delayed
+  out-range (the two out-ranges share their middle bound), guard slot
+  (-1 for a simple node), deficit and the cycle it last fired in;
+* a 16-byte edge record — consumer, the consumer's guard slot (the
+  early-consumer flag), marking and latency;
+* the lane's out list of (edge, consumer) pairs.
+
+At lane set-up each node's out-edges are split into its zero-latency list
+followed by its delayed list, each in ascending edge order.  The reference
+walks one list in edge order, but a zero-latency edge only changes
+markings, deficits and the worklists, and a delayed edge only appends to
+its arrival bucket; neither reads what the other writes.  So walking the
+zero-latency edges first pushes onto the worklists in the reference order,
+and walking the delayed ones next fills every bucket in the reference
+order.  Deficit updates and most worklist pushes are branch-free.
+
+int32 bounds.  :func:`run_windows` and :func:`run_window` raise
+``ValueError`` rather than wrap when a lane's counts could leave int32:
+``cycles + warmup`` must be below 2**31, and so must the node, edge, queue
+and ready-list capacities; a latency must lie in 0 .. 2**31 - 1; every
+marking must stay within int32 after ``cycles + warmup`` firings moved it
+by one each; and an early node's deficit, which grows by up to its
+in-degree per firing, must stay below 2**31.
 """
 
 from __future__ import annotations
@@ -47,10 +74,13 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.obs.metrics import global_registry
 
 _ENV_VAR = "REPRO_SIM_KERNEL"
 _CACHE_ENV_VAR = "REPRO_SIM_KERNEL_CACHE"
@@ -79,36 +109,74 @@ _WORKERS = max(1, _usable_cpus())
 
 # -- the generated C kernel ----------------------------------------------------
 #
-# Cycles of the event-driven engine over flat int64/float64 arrays; the body
-# is a statement-for-statement mirror of ``ScalarSimulator.step`` (same
-# worklist order, same threshold crossings, same guard-draw positions), so
-# markings, firings and RNG consumption are bit-identical.
+# Cycles of the event-driven engine over packed int32 lane records; the loop
+# mirrors ``ScalarSimulator.step`` (same worklist order, same threshold
+# crossings, same guard-draw positions), so markings, firings and RNG
+# consumption are bit-identical.
 #
 # The structure arrays come in one ``Plan`` (built once per ``KernelPlan``);
-# lane state is carried in the arrays plus ``io``: ``io[0]`` the cycle
-# counter, ``io[1]`` the MT19937 index into ``mt``, ``io[2]`` the persistent
-# ready-list length.  ``repro_lane_init`` sets up a lane's start state;
-# ``repro_sim_kernel`` runs ``warmup + cycles`` cycles and copies ``firings``
-# into ``baseline`` at the warm-up boundary; ``repro_sim_batch`` runs every
-# lane of a batch on pthreads, each worker reusing one set of lane scratch.
+# a lane's state is one ``Lane``: node and edge records, the lane's split
+# out-lists, counters, worklists, the arrival ring, the MT19937 words and
+# ``io`` (cycle, MT19937 index, ready-list length, ring depth).
+# ``repro_lane_init`` sets up a lane's start state; ``repro_lane_run`` runs
+# ``warmup + cycles`` cycles and copies ``firings`` into ``baseline`` at the
+# warm-up boundary; ``repro_sim_batch`` runs every lane of a batch on
+# pthreads, each worker reusing one block of lane scratch.  A single-lane
+# ``KernelRun`` calls the same two functions on numpy-owned arrays.
 
 _C_SOURCE = r"""
+#define _POSIX_C_SOURCE 200809L
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+typedef int32_t I32;
 typedef int64_t I64;
 
 typedef struct {
-    I64 num_nodes, num_edges, num_early;
-    const I64 *cons, *in_ptr, *in_idx, *out_ptr, *out_idx;
-    const I64 *early_nodes, *early_slot;
-    const I64 *guard_ptr, *guard_edges;
+    I32 num_nodes, num_edges, num_early;
+    const I32 *cons, *in_ptr, *in_idx, *out_ptr, *out_idx;
+    const I32 *early_nodes, *early_slot;
+    const I32 *guard_ptr, *guard_edges;
     const double *guard_cumw, *guard_total;
-    const I64 *guard_hi;
-    I64 queue_cap, ready_cap;
+    const I32 *guard_hi;
+    I32 queue_cap, ready_cap;
 } Plan;
+
+/* 32 bytes: in-edges [in_lo, in_hi) of plan->in_idx; zero-latency
+   out-edges [out_lo, out_mid) and delayed ones [out_mid, out_hi) of the
+   lane's out list; guard slot (-1: simple node); deficit; last cycle the
+   node fired (-1: never). */
+typedef struct {
+    I32 in_lo, in_hi, out_lo, out_mid, out_hi;
+    I32 early_slot, deficit, fired;
+} Node;
+
+/* 16 bytes: consumer, the consumer's guard slot (-1: a simple consumer),
+   marking, latency. */
+typedef struct {
+    I32 cons, cslot, marking, latency;
+} Edge;
+
+/* An out-list entry: the edge and its consumer, so the node a firing
+   enables next is one load away from the firing node's list. */
+typedef struct {
+    I32 edge, cons;
+} Arc;
+
+/* A lane's state.  pending[-1] holds a sentinel no edge id equals, so
+   pending[cslot] can be read for a simple consumer too.  io: cycle, MT19937
+   index into mt, ready-list length, ring depth. */
+typedef struct {
+    Node *node;
+    Edge *edge;
+    Arc *out;
+    I32 *firings, *baseline, *pending, *queue, *next_ready;
+    I32 *ring_count, *ring_edges;
+    uint32_t *mt;
+    I64 *io;
+} Lane;
 
 /* CPython's MT19937 (Modules/_randommodule.c): genrand_uint32 ... */
 #define MT_N 624
@@ -148,160 +216,191 @@ static double random_random(uint32_t *mt, I64 *index)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-void repro_sim_kernel(
-    const Plan *plan, I64 warmup, I64 cycles, I64 depth,
-    const I64 *latency,
-    I64 *marking, I64 *deficit, I64 *pending, I64 *firings, I64 *baseline,
-    I64 *ring_count, I64 *ring_edges,
-    I64 *queue, I64 *next_ready, I64 *fired_cycle,
-    uint32_t *mt, I64 *io)
+/* A lane's start state: the edge and node records (each node's out-edges
+   split into its zero-latency list, then its delayed list, both in
+   ascending edge order), deficits counted, no guard held, the initial
+   ready list (simple nodes with no deficit, in node order) and the
+   MT19937 start words of its seed.  latency and marking0 are the model's
+   int64 vectors, range-checked by the caller. */
+void repro_lane_init(
+    const Plan *plan, I64 depth, const I64 *latency, const I64 *marking0,
+    const uint32_t *mt0, I64 mt_index, const Lane *lane)
 {
-    const I64 num_nodes = plan->num_nodes;
-    const I64 num_edges = plan->num_edges;
-    const I64 num_early = plan->num_early;
-    const I64 *cons = plan->cons;
-    const I64 *in_ptr = plan->in_ptr, *in_idx = plan->in_idx;
-    const I64 *out_ptr = plan->out_ptr, *out_idx = plan->out_idx;
-    const I64 *early_nodes = plan->early_nodes;
-    const I64 *early_slot = plan->early_slot;
-    const I64 *guard_ptr = plan->guard_ptr, *guard_edges = plan->guard_edges;
-    const double *guard_cumw = plan->guard_cumw;
-    const double *guard_total = plan->guard_total;
-    const I64 *guard_hi = plan->guard_hi;
-    I64 cycle = io[0];
-    I64 mt_index = io[1];
-    I64 nr_len = io[2];
+    const I32 num_nodes = plan->num_nodes;
+    const I32 num_edges = plan->num_edges;
+    Node *const node = lane->node;
+    Edge *const edge = lane->edge;
+    for (I32 e = 0; e < num_edges; e++) {
+        const I32 consumer = plan->cons[e];
+        edge[e].cons = consumer;
+        edge[e].cslot = plan->early_slot[consumer];
+        edge[e].marking = (I32)marking0[e];
+        edge[e].latency = (I32)latency[e];
+    }
+    for (I32 n = 0; n < num_nodes; n++) {
+        const I32 lo = plan->out_ptr[n], hi = plan->out_ptr[n + 1];
+        I32 mid = lo;
+        for (I32 k = lo; k < hi; k++) mid += edge[plan->out_idx[k]].latency == 0;
+        I32 zero = lo, delayed = mid;
+        for (I32 k = lo; k < hi; k++) {
+            const I32 e = plan->out_idx[k];
+            Arc *const arc = &lane->out[edge[e].latency == 0 ? zero++ : delayed++];
+            arc->edge = e;
+            arc->cons = edge[e].cons;
+        }
+        Node *const record = &node[n];
+        record->in_lo = plan->in_ptr[n];
+        record->in_hi = plan->in_ptr[n + 1];
+        record->out_lo = lo;
+        record->out_mid = mid;
+        record->out_hi = hi;
+        record->early_slot = plan->early_slot[n];
+        record->deficit = 0;
+        record->fired = -1;
+    }
+    for (I32 e = 0; e < num_edges; e++)
+        node[edge[e].cons].deficit += edge[e].marking < 1;
+    lane->pending[-1] = INT32_MIN;
+    for (I32 position = 0; position < plan->num_early; position++)
+        lane->pending[position] = -1;
+    memset(lane->firings, 0, (size_t)num_nodes * sizeof(I32));
+    memset(lane->baseline, 0, (size_t)num_nodes * sizeof(I32));
+    memset(lane->ring_count, 0, (size_t)depth * sizeof(I32));
+    I32 nr_len = 0;
+    for (I32 n = 0; n < num_nodes; n++) {
+        lane->next_ready[nr_len] = n;
+        nr_len += node[n].deficit == 0 && node[n].early_slot < 0;
+    }
+    memcpy(lane->mt, mt0, MT_N * sizeof(uint32_t));
+    lane->io[0] = 0;
+    lane->io[1] = mt_index;
+    lane->io[2] = nr_len;
+    lane->io[3] = depth;
+}
+
+/* The one lane loop: warmup + cycles cycles from the lane's current state.
+   Deficit updates, delivery pushes and ready-list pushes are branch-free:
+   such a push always writes the slot past the list's end and advances the
+   length by the push condition.  A firing's push of a consumer it enabled
+   stays a branch: the next pop reads that slot, and a predicted branch
+   keeps the consumer's deficit load off the path from one firing to the
+   next. */
+void repro_lane_run(const Plan *plan, I64 warmup, I64 cycles, const Lane *lane)
+{
+    const I32 num_nodes = plan->num_nodes;
+    const I32 num_edges = plan->num_edges;
+    const I32 num_early = plan->num_early;
+    const I32 *const in_idx = plan->in_idx;
+    const I32 *const early_nodes = plan->early_nodes;
+    const I32 *const guard_ptr = plan->guard_ptr;
+    const I32 *const guard_edges = plan->guard_edges;
+    const I32 *const guard_hi = plan->guard_hi;
+    const double *const guard_cumw = plan->guard_cumw;
+    const double *const guard_total = plan->guard_total;
+    Node *const node = lane->node;
+    Edge *const edge = lane->edge;
+    const Arc *const out = lane->out;
+    I32 *const firings = lane->firings;
+    I32 *const pending = lane->pending;
+    I32 *const queue = lane->queue;
+    I32 *const next_ready = lane->next_ready;
+    I32 *const ring_count = lane->ring_count;
+    I32 *const ring_edges = lane->ring_edges;
+    I32 cycle = (I32)lane->io[0];
+    I64 mt_index = lane->io[1];
+    I32 nr_len = (I32)lane->io[2];
+    const I64 depth = lane->io[3];
+    I64 slot = cycle % depth;
     const I64 total = warmup + cycles;
     for (I64 done = 0;; done++) {
         if (done == warmup)
-            memcpy(baseline, firings, (size_t)num_nodes * sizeof(I64));
+            memcpy(lane->baseline, firings, (size_t)num_nodes * sizeof(I32));
         if (done == total) break;
-        I64 qlen = nr_len;
-        for (I64 i = 0; i < nr_len; i++) queue[i] = next_ready[i];
+        I32 qlen = nr_len;
+        memcpy(queue, next_ready, (size_t)nr_len * sizeof(I32));
         nr_len = 0;
 
         /* 1. deliveries */
-        I64 slot = cycle % depth;
-        I64 *bucket = ring_edges + slot * num_edges;
-        I64 count = ring_count[slot];
-        for (I64 i = 0; i < count; i++) {
-            I64 edge = bucket[i];
-            I64 value = marking[edge];
-            marking[edge] = value + 1;
-            if (value == 0) {
-                I64 consumer = cons[edge];
-                I64 position = early_slot[consumer];
-                if (position >= 0) {
-                    if (pending[position] == edge) queue[qlen++] = consumer;
-                } else {
-                    I64 remaining = deficit[consumer] - 1;
-                    deficit[consumer] = remaining;
-                    if (remaining == 0) queue[qlen++] = consumer;
-                }
-            }
+        const I32 *const bucket = ring_edges + slot * num_edges;
+        const I32 count = ring_count[slot];
+        for (I32 i = 0; i < count; i++) {
+            const I32 e = bucket[i];
+            Edge *const delivered = &edge[e];
+            const I32 crossed = delivered->marking++ == 0;
+            const I32 consumer = delivered->cons, cslot = delivered->cslot;
+            const I32 simple = cslot < 0;
+            Node *const target = &node[consumer];
+            const I32 deficit = target->deficit - (crossed & simple);
+            target->deficit = deficit;
+            queue[qlen] = consumer;
+            qlen += crossed & ((simple & (deficit == 0)) | (pending[cslot] == e));
         }
         ring_count[slot] = 0;
 
         /* 2. guard draws */
-        for (I64 position = 0; position < num_early; position++) {
-            I64 guard = pending[position];
+        for (I32 position = 0; position < num_early; position++) {
+            I32 guard = pending[position];
             if (guard < 0) {
-                double x = random_random(mt, &mt_index) * guard_total[position];
-                I64 gbase = guard_ptr[position];
-                I64 hi = guard_hi[position];
-                I64 k = 0;
-                while (k < hi && guard_cumw[gbase + k] <= x) k++;
-                guard = guard_edges[gbase + k];
+                const double x = random_random(lane->mt, &mt_index) * guard_total[position];
+                const I32 base = guard_ptr[position], hi = guard_hi[position];
+                I32 k = 0;
+                while (k < hi && guard_cumw[base + k] <= x) k++;
+                guard = guard_edges[base + k];
                 pending[position] = guard;
             }
-            if (marking[guard] >= 1) queue[qlen++] = early_nodes[position];
+            queue[qlen] = early_nodes[position];
+            qlen += edge[guard].marking >= 1;
         }
 
         /* 3. firing fixpoint */
         while (qlen > 0) {
-            I64 node = queue[--qlen];
-            if (fired_cycle[node] == cycle) continue;
-            I64 position = early_slot[node];
+            const I32 n = queue[--qlen];
+            Node *const fired = &node[n];
+            if (fired->fired == cycle) continue;
+            const I32 position = fired->early_slot;
             if (position >= 0) {
-                I64 guard = pending[position];
-                if (guard < 0) guard += num_edges;
-                if (marking[guard] < 1) continue;
-            } else if (deficit[node] != 0) continue;
-            fired_cycle[node] = cycle;
-            firings[node]++;
-            for (I64 k = in_ptr[node]; k < in_ptr[node + 1]; k++) {
-                I64 edge = in_idx[k];
-                I64 value = marking[edge] - 1;
-                marking[edge] = value;
-                if (value == 0) deficit[node]++;
-            }
+                I32 guard = pending[position];
+                if (guard < 0) guard += num_edges; /* the reference's marking[-1] */
+                if (edge[guard].marking < 1) continue;
+            } else if (fired->deficit != 0) continue;
+            fired->fired = cycle;
+            firings[n]++;
+            I32 emptied = 0;
+            for (I32 k = fired->in_lo; k < fired->in_hi; k++)
+                emptied += --edge[in_idx[k]].marking == 0;
+            fired->deficit += emptied;
             if (position >= 0) pending[position] = -1;
-            for (I64 k = out_ptr[node]; k < out_ptr[node + 1]; k++) {
-                I64 edge = out_idx[k];
-                I64 lat = latency[edge];
-                if (lat == 0) {
-                    I64 value = marking[edge];
-                    marking[edge] = value + 1;
-                    if (value == 0) {
-                        I64 consumer = cons[edge];
-                        I64 cpos = early_slot[consumer];
-                        if (cpos >= 0) {
-                            if (pending[cpos] == edge) queue[qlen++] = consumer;
-                        } else {
-                            I64 remaining = deficit[consumer] - 1;
-                            deficit[consumer] = remaining;
-                            if (remaining == 0) {
-                                if (fired_cycle[consumer] == cycle)
-                                    next_ready[nr_len++] = consumer;
-                                else
-                                    queue[qlen++] = consumer;
-                            }
-                        }
-                    }
-                } else {
-                    I64 target = slot + lat;
-                    if (target >= depth) target -= depth;
-                    ring_edges[target * num_edges + ring_count[target]] = edge;
-                    ring_count[target]++;
-                }
+            for (I32 k = fired->out_lo; k < fired->out_mid; k++) {
+                const I32 e = out[k].edge, consumer = out[k].cons;
+                Node *const target = &node[consumer];
+                const I32 cslot = target->early_slot;
+                const I32 crossed = edge[e].marking++ == 0;
+                const I32 simple = cslot < 0;
+                const I32 deficit = target->deficit - (crossed & simple);
+                target->deficit = deficit;
+                const I32 ready = crossed & simple & (deficit == 0);
+                const I32 again = ready & (target->fired == cycle);
+                next_ready[nr_len] = consumer;
+                nr_len += again;
+                if ((ready & !again) | (crossed & (pending[cslot] == e)))
+                    queue[qlen++] = consumer;
             }
-            if (deficit[node] == 0) next_ready[nr_len++] = node;
+            for (I32 k = fired->out_mid; k < fired->out_hi; k++) {
+                const I32 e = out[k].edge;
+                I64 arrival = slot + edge[e].latency;
+                arrival -= depth & -(I64)(arrival >= depth);
+                ring_edges[arrival * num_edges + ring_count[arrival]++] = e;
+            }
+            next_ready[nr_len] = n;
+            nr_len += fired->deficit == 0;
         }
 
         cycle++;
+        if (++slot == depth) slot = 0;
     }
-    io[0] = cycle; io[1] = mt_index; io[2] = nr_len;
-}
-
-/* A lane's start state: marking0 copied, deficits counted, no guard held,
-   the initial ready list (non-early nodes with no deficit, in node order)
-   and the MT19937 start words of its seed. */
-void repro_lane_init(
-    const Plan *plan, I64 depth, const I64 *marking0,
-    const uint32_t *mt0, I64 mt_index,
-    I64 *marking, I64 *deficit, I64 *pending, I64 *firings, I64 *baseline,
-    I64 *ring_count, I64 *next_ready, I64 *fired_cycle,
-    uint32_t *mt, I64 *io)
-{
-    const I64 num_nodes = plan->num_nodes;
-    const I64 num_edges = plan->num_edges;
-    memcpy(marking, marking0, (size_t)num_edges * sizeof(I64));
-    memset(deficit, 0, (size_t)num_nodes * sizeof(I64));
-    for (I64 edge = 0; edge < num_edges; edge++)
-        if (marking[edge] < 1) deficit[plan->cons[edge]]++;
-    for (I64 position = 0; position < plan->num_early; position++)
-        pending[position] = -1;
-    memset(firings, 0, (size_t)num_nodes * sizeof(I64));
-    memset(baseline, 0, (size_t)num_nodes * sizeof(I64));
-    memset(ring_count, 0, (size_t)depth * sizeof(I64));
-    I64 nr_len = 0;
-    for (I64 node = 0; node < num_nodes; node++) {
-        fired_cycle[node] = -1;
-        if (deficit[node] == 0 && plan->early_slot[node] < 0)
-            next_ready[nr_len++] = node;
-    }
-    memcpy(mt, mt0, MT_N * sizeof(uint32_t));
-    io[0] = 0; io[1] = mt_index; io[2] = nr_len;
+    lane->io[0] = cycle;
+    lane->io[1] = mt_index;
+    lane->io[2] = nr_len;
 }
 
 /* Every lane of a batch: workers pull lane indices from a shared counter,
@@ -316,55 +415,67 @@ typedef struct {
     const uint32_t *const *mt0;
     const I64 *mt_index;
     I64 *windows;
-    I64 *scratch, stride, depth_cap;
+    char *scratch;
+    size_t stride;
+    I64 depth_cap;
     I64 next_lane, next_block;
 } Batch;
 
 static I64 lane_depth(const Plan *plan, const I64 *latency)
 {
     I64 depth = 1;
-    for (I64 edge = 0; edge < plan->num_edges; edge++)
+    for (I32 edge = 0; edge < plan->num_edges; edge++)
         if (latency[edge] >= depth) depth = latency[edge] + 1;
     return depth;
+}
+
+/* Bytes of one lane's scratch block, each array on a 64-byte boundary;
+   with `base` set, also points `lane` into the block at `base`. */
+static size_t lane_layout(const Plan *plan, I64 depth_cap, char *base, Lane *lane)
+{
+    size_t offset = 0;
+#define CARVE(field, type, count)                                     \
+    do {                                                              \
+        offset = (offset + 63) & ~(size_t)63;                         \
+        if (base) lane->field = (type *)(void *)(base + offset);      \
+        offset += (size_t)(count) * sizeof(type);                     \
+    } while (0)
+    CARVE(io, I64, 4);
+    CARVE(mt, uint32_t, MT_N);
+    CARVE(node, Node, plan->num_nodes);
+    CARVE(edge, Edge, plan->num_edges);
+    CARVE(out, Arc, plan->num_edges);
+    CARVE(firings, I32, plan->num_nodes);
+    CARVE(baseline, I32, plan->num_nodes);
+    CARVE(pending, I32, plan->num_early + 1);
+    CARVE(queue, I32, plan->queue_cap);
+    CARVE(next_ready, I32, plan->ready_cap);
+    CARVE(ring_count, I32, depth_cap);
+    CARVE(ring_edges, I32, depth_cap * plan->num_edges);
+#undef CARVE
+    if (base) lane->pending++;
+    return (offset + 63) & ~(size_t)63;
 }
 
 static void *batch_worker(void *arg)
 {
     Batch *batch = arg;
     const Plan *plan = batch->plan;
-    const I64 num_nodes = plan->num_nodes;
-    const I64 num_edges = plan->num_edges;
-    I64 block = __atomic_fetch_add(&batch->next_block, 1, __ATOMIC_RELAXED);
-    I64 *cursor = batch->scratch + block * batch->stride;
-    I64 *io = cursor; cursor += 4;
-    uint32_t *mt = (uint32_t *)cursor; cursor += MT_N / 2;
-    I64 *marking = cursor; cursor += num_edges;
-    I64 *deficit = cursor; cursor += num_nodes;
-    I64 *firings = cursor; cursor += num_nodes;
-    I64 *baseline = cursor; cursor += num_nodes;
-    I64 *fired_cycle = cursor; cursor += num_nodes;
-    I64 *pending = cursor; cursor += plan->num_early;
-    I64 *queue = cursor; cursor += plan->queue_cap;
-    I64 *next_ready = cursor; cursor += plan->ready_cap;
-    I64 *ring_count = cursor; cursor += batch->depth_cap;
-    I64 *ring_edges = cursor;
+    const I64 block = __atomic_fetch_add(&batch->next_block, 1, __ATOMIC_RELAXED);
+    Lane lane;
+    lane_layout(plan, batch->depth_cap,
+                batch->scratch + (size_t)block * batch->stride, &lane);
     for (;;) {
-        I64 lane = __atomic_fetch_add(&batch->next_lane, 1, __ATOMIC_RELAXED);
-        if (lane >= batch->lanes) break;
-        const I64 *latency = batch->latency[lane];
-        I64 depth = lane_depth(plan, latency);
+        const I64 index = __atomic_fetch_add(&batch->next_lane, 1, __ATOMIC_RELAXED);
+        if (index >= batch->lanes) break;
+        const I64 *latency = batch->latency[index];
         repro_lane_init(
-            plan, depth, batch->marking0[lane],
-            batch->mt0[lane], batch->mt_index[lane],
-            marking, deficit, pending, firings, baseline,
-            ring_count, next_ready, fired_cycle, mt, io);
-        repro_sim_kernel(
-            plan, batch->warmup, batch->cycles, depth, latency,
-            marking, deficit, pending, firings, baseline,
-            ring_count, ring_edges, queue, next_ready, fired_cycle, mt, io);
-        I64 *row = batch->windows + lane * num_nodes;
-        for (I64 node = 0; node < num_nodes; node++)
-            row[node] = firings[node] - baseline[node];
+            plan, lane_depth(plan, latency), latency, batch->marking0[index],
+            batch->mt0[index], batch->mt_index[index], &lane);
+        repro_lane_run(plan, batch->warmup, batch->cycles, &lane);
+        I64 *row = batch->windows + index * plan->num_nodes;
+        for (I32 n = 0; n < plan->num_nodes; n++)
+            row[n] = lane.firings[n] - lane.baseline[n];
     }
     return NULL;
 }
@@ -380,21 +491,20 @@ int repro_sim_batch(
 {
     I64 depth_cap = 1;
     for (I64 lane = 0; lane < lanes; lane++) {
-        I64 depth = lane_depth(plan, latency[lane]);
+        const I64 depth = lane_depth(plan, latency[lane]);
         if (depth > depth_cap) depth_cap = depth;
     }
-    /* io, mt, the per-edge/per-node arrays, worklists and the ring. */
-    I64 stride = 4 + MT_N / 2 + plan->num_edges + 4 * plan->num_nodes
-        + plan->num_early + plan->queue_cap + plan->ready_cap
-        + depth_cap * (1 + plan->num_edges);
+    const size_t stride = lane_layout(plan, depth_cap, NULL, NULL);
     Batch batch = {plan, lanes, warmup, cycles, latency, marking0, mt0,
                    mt_index, windows, NULL, stride, depth_cap, 0, 0};
     if (workers < 1) workers = 1;
-    batch.scratch = malloc((size_t)(workers * stride) * sizeof(I64));
+    void *scratch = NULL;
+    if (posix_memalign(&scratch, 64, (size_t)workers * stride) != 0)
+        return -1;
+    batch.scratch = scratch;
     pthread_t *threads = malloc((size_t)workers * sizeof(pthread_t));
-    if (!batch.scratch || !threads) {
-        free(batch.scratch);
-        free(threads);
+    if (!threads) {
+        free(scratch);
         return -1;
     }
     I64 started = 0;
@@ -404,7 +514,7 @@ int repro_sim_batch(
     batch_worker(&batch);
     for (I64 i = 0; i < started; i++) pthread_join(threads[i], NULL);
     free(threads);
-    free(batch.scratch);
+    free(scratch);
     return 0;
 }
 """
@@ -415,7 +525,7 @@ class _CPlan(ctypes.Structure):
     and its worklist capacities."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("num_nodes", "num_edges", "num_early")]
+        [(name, ctypes.c_int32) for name in ("num_nodes", "num_edges", "num_early")]
         + [
             (name, ctypes.c_void_p)
             for name in (
@@ -424,8 +534,20 @@ class _CPlan(ctypes.Structure):
                 "guard_cumw", "guard_total", "guard_hi",
             )
         ]
-        + [(name, ctypes.c_int64) for name in ("queue_cap", "ready_cap")]
+        + [(name, ctypes.c_int32) for name in ("queue_cap", "ready_cap")]
     )
+
+
+class _CLane(ctypes.Structure):
+    """The C ``Lane``: pointers to one lane's state arrays."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "node", "edge", "out", "firings", "baseline", "pending", "queue",
+            "next_ready", "ring_count", "ring_edges", "mt", "io",
+        )
+    ]
 
 
 # -- backend selection ---------------------------------------------------------
@@ -500,16 +622,14 @@ def _build_c_kernel():
                 os.unlink(scratch)
     library = ctypes.CDLL(lib_path)
     plan, i64, ptr = ctypes.POINTER(_CPlan), ctypes.c_int64, ctypes.c_void_p
-    library.repro_sim_kernel.restype = None
-    library.repro_sim_kernel.argtypes = (
-        [plan, i64, i64, i64]  # warmup, cycles, depth
-        + [ptr] * 13           # latency .. mt, io
-    )
+    lane = ctypes.POINTER(_CLane)
     library.repro_lane_init.restype = None
     library.repro_lane_init.argtypes = (
-        [plan, i64, ptr, ptr, i64]  # depth, marking0, mt0, mt_index
-        + [ptr] * 10                # marking .. mt, io
+        [plan, i64, ptr, ptr, ptr, i64]  # depth, latency, marking0, mt0, mt_index
+        + [lane]
     )
+    library.repro_lane_run.restype = None
+    library.repro_lane_run.argtypes = [plan, i64, i64, lane]  # warmup, cycles
     library.repro_sim_batch.restype = ctypes.c_int
     library.repro_sim_batch.argtypes = (
         [plan, i64, i64, i64]  # lanes, warmup, cycles
@@ -608,25 +728,25 @@ class KernelPlan:
         num_edges = structure.num_edges
         self.num_nodes = num_nodes
         self.num_edges = num_edges
-        self.cons = np.ascontiguousarray(structure.cons, dtype=np.int64)
-        self.in_ptr = np.ascontiguousarray(structure.in_ptr, dtype=np.int64)
-        self.in_idx = np.ascontiguousarray(structure.in_idx, dtype=np.int64)
+        self.cons = np.ascontiguousarray(structure.cons, dtype=np.int32)
+        self.in_ptr = np.ascontiguousarray(structure.in_ptr, dtype=np.int32)
+        self.in_idx = np.ascontiguousarray(structure.in_idx, dtype=np.int32)
         prod = np.asarray(structure.prod, dtype=np.int64)
         # Stable sort keeps each node's out-edges in ascending edge order —
         # the same order ScalarSimulator builds its out-lists in.
         self.out_idx = np.ascontiguousarray(
-            np.argsort(prod, kind="stable"), dtype=np.int64
+            np.argsort(prod, kind="stable"), dtype=np.int32
         )
-        out_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        out_ptr = np.zeros(num_nodes + 1, dtype=np.int32)
         counts = np.bincount(prod, minlength=num_nodes) if num_edges else (
             np.zeros(num_nodes, dtype=np.int64)
         )
         np.cumsum(counts, out=out_ptr[1:])
         self.out_ptr = out_ptr
         self.early_nodes = np.ascontiguousarray(
-            structure.early_pos, dtype=np.int64
+            structure.early_pos, dtype=np.int32
         )
-        early_slot = np.full(num_nodes, -1, dtype=np.int64)
+        early_slot = np.full(num_nodes, -1, dtype=np.int32)
         for slot, node in enumerate(self.early_nodes):
             early_slot[node] = slot
         self.early_slot = early_slot
@@ -641,12 +761,18 @@ class KernelPlan:
             guard_ptr.append(len(guard_edges))
             guard_total.append(table.total)
             guard_hi.append(table.hi)
-        self.guard_ptr = np.asarray(guard_ptr, dtype=np.int64)
-        self.guard_edges = np.asarray(guard_edges, dtype=np.int64)
+        self.guard_ptr = np.asarray(guard_ptr, dtype=np.int32)
+        self.guard_edges = np.asarray(guard_edges, dtype=np.int32)
         self.guard_cumw = np.asarray(guard_cumw, dtype=np.float64)
         self.guard_total = np.asarray(guard_total, dtype=np.float64)
-        self.guard_hi = np.asarray(guard_hi, dtype=np.int64)
+        self.guard_hi = np.asarray(guard_hi, dtype=np.int32)
         self.num_early = len(guard_total)
+        # An early node's deficit only ever grows (deliveries never lower
+        # it): by up to its in-degree per firing, bounded by the run guard.
+        in_degree = np.diff(self.in_ptr)
+        self.early_in_degree = (
+            int(in_degree[self.early_nodes].max()) if self.num_early else 0
+        )
 
         # python-side structure lists (shared with ScalarSimulator).
         in_ptr_list = self.in_ptr.tolist()
@@ -668,7 +794,8 @@ class KernelPlan:
 
         # Worklist capacities: per cycle the queue sees at most the previous
         # ready list (<= V + E), one delivery crossing per edge, one draw per
-        # early node and two production crossings per edge; sized generously.
+        # early node and two production crossings per edge; sized generously,
+        # since a branch-free push also writes the slot past the list's end.
         self.queue_cap = 4 * (num_nodes + num_edges) + self.num_early + 64
         self.ready_cap = 2 * (num_nodes + num_edges) + 64
 
@@ -699,6 +826,18 @@ def plan_for(structure) -> KernelPlan:
 
 # -- kernel runs ---------------------------------------------------------------
 
+#: Every index and count a kernel lane keeps is int32: values must stay
+#: below this bound (and markings above its negative) for the whole run.
+_INT32_END = 2**31
+
+_KERNEL_SECONDS = global_registry().counter(
+    "repro_sim_kernel_seconds_total", "Wall seconds spent in kernels.run_windows"
+)
+_KERNEL_LANE_CYCLES = global_registry().counter(
+    "repro_sim_kernel_lane_cycles_total",
+    "Lane-cycles simulated by kernels.run_windows: lanes x (cycles + warmup)",
+)
+
 
 def _mt_start(seed: Optional[int]) -> Tuple[np.ndarray, int]:
     """``random.Random(seed)``'s MT19937 state: the 624 words and the index."""
@@ -713,13 +852,46 @@ def _theta(window: List[int], cycles: int) -> float:
     return sum(rates) / len(rates) if rates else 0.0
 
 
-def _lane_arrays(model, plan: KernelPlan) -> Tuple[np.ndarray, np.ndarray]:
+def _check_run(plan: KernelPlan, cycles: int, warmup: int) -> int:
+    """``cycles + warmup``, after checking that the cycle counter, the
+    structure's capacities and its early nodes' deficits fit int32."""
+    total = cycles + warmup
+    if total >= _INT32_END:
+        raise ValueError(
+            f"cycles + warmup = {total} does not fit the kernel's int32 cycle counter"
+        )
+    for what, size in (
+        ("node", plan.num_nodes), ("edge", plan.num_edges),
+        ("queue", plan.queue_cap), ("ready-list", plan.ready_cap),
+    ):
+        if size >= _INT32_END:
+            raise ValueError(f"the kernel's int32 {what} capacity cannot hold {size}")
+    if plan.early_in_degree * (total + 1) >= _INT32_END:
+        raise ValueError(
+            f"an early node's deficit could outgrow int32 over {total} cycles"
+        )
+    return total
+
+
+def _lane_arrays(
+    model, plan: KernelPlan, total: int
+) -> Tuple[np.ndarray, np.ndarray]:
     """A model's latency and initial marking as int64 C arrays, checked to
-    be one value per edge of ``plan`` before C reads them."""
+    be one value per edge of ``plan`` and to stay int32 over ``total``
+    cycles (a firing moves a marking by one) before C narrows them."""
     latency = np.ascontiguousarray(model.latency, dtype=np.int64)
     marking0 = np.ascontiguousarray(model.marking0, dtype=np.int64)
     if latency.shape != (plan.num_edges,) or marking0.shape != latency.shape:
         raise ValueError("a lane needs one latency and one marking per edge")
+    if latency.size:
+        if latency.min() < 0 or latency.max() >= _INT32_END:
+            raise ValueError("a latency is outside 0 .. 2**31 - 1")
+        if int(marking0.max()) + total >= _INT32_END or (
+            int(marking0.min()) - total < -_INT32_END
+        ):
+            raise ValueError(
+                f"a marking could leave int32 within {total} cycles"
+            )
     return latency, marking0
 
 
@@ -727,39 +899,47 @@ class KernelRun:
     """Full state of one lane advanced by the C kernel.
 
     Only :func:`run_window` builds one; batches run through
-    :func:`run_windows`, whose workers keep their lane state in C.
+    :func:`run_windows`, whose workers keep their lane state in C.  The
+    packed records are ``nodes`` (``(V, 8)``) and ``edges`` (``(E, 4)``);
+    ``marking``, ``deficit`` and ``fired_cycle`` are views of their
+    columns, so every attribute reads in the reference layout.
     """
 
     def __init__(self, model, seed: Optional[int]) -> None:
         plan = plan_for(model.structure)
         self.plan = plan
         num_nodes, num_edges = plan.num_nodes, plan.num_edges
-        self.latency, marking0 = _lane_arrays(model, plan)
-        self.depth = int(self.latency.max()) + 1 if num_edges else 1
-        self.marking = np.empty(num_edges, dtype=np.int64)
-        self.deficit = np.empty(num_nodes, dtype=np.int64)
-        self.pending = np.empty(plan.num_early, dtype=np.int64)
-        self.firings = np.empty(num_nodes, dtype=np.int64)
-        self.baseline = np.empty(num_nodes, dtype=np.int64)
-        self.ring_count = np.empty(self.depth, dtype=np.int64)
-        self.ring_edges = np.empty(self.depth * num_edges, dtype=np.int64)
-        self.queue = np.empty(plan.queue_cap, dtype=np.int64)
-        self.next_ready = np.empty(plan.ready_cap, dtype=np.int64)
-        self.fired_cycle = np.empty(num_nodes, dtype=np.int64)
+        latency, marking0 = _lane_arrays(model, plan, 0)
+        self.depth = int(latency.max()) + 1 if num_edges else 1
+        self.nodes = np.empty((num_nodes, 8), dtype=np.int32)
+        self.edges = np.empty((num_edges, 4), dtype=np.int32)
+        self.out = np.empty((num_edges, 2), dtype=np.int32)
+        self.firings = np.empty(num_nodes, dtype=np.int32)
+        self.baseline = np.empty(num_nodes, dtype=np.int32)
+        # Slot 0 is the sentinel the C side reads as pending[-1].
+        pending = np.empty(plan.num_early + 1, dtype=np.int32)
+        self.pending = pending[1:]
+        self.queue = np.empty(plan.queue_cap, dtype=np.int32)
+        self.next_ready = np.empty(plan.ready_cap, dtype=np.int32)
+        self.ring_count = np.empty(self.depth, dtype=np.int32)
+        self.ring_edges = np.empty(self.depth * num_edges, dtype=np.int32)
         self.mt = np.empty(_MT_WORDS, dtype=np.uint32)
         self.io = np.zeros(4, dtype=np.int64)
+        self.marking = self.edges[:, 2]
+        self.deficit = self.nodes[:, 6]
+        self.fired_cycle = self.nodes[:, 7]
+        self._lane = _CLane(
+            self.nodes.ctypes.data, self.edges.ctypes.data, self.out.ctypes.data,
+            self.firings.ctypes.data, self.baseline.ctypes.data,
+            pending.ctypes.data + pending.itemsize, self.queue.ctypes.data,
+            self.next_ready.ctypes.data, self.ring_count.ctypes.data,
+            self.ring_edges.ctypes.data, self.mt.ctypes.data, self.io.ctypes.data,
+        )
         mt0, mt_index = _mt_start(seed)
         _c_kernel.repro_lane_init(
-            ctypes.byref(plan.c_plan), self.depth, marking0.ctypes.data,
-            mt0.ctypes.data, mt_index,
-            *(
-                array.ctypes.data
-                for array in (
-                    self.marking, self.deficit, self.pending, self.firings,
-                    self.baseline, self.ring_count, self.next_ready,
-                    self.fired_cycle, self.mt, self.io,
-                )
-            ),
+            ctypes.byref(plan.c_plan), self.depth, latency.ctypes.data,
+            marking0.ctypes.data, mt0.ctypes.data, mt_index,
+            ctypes.byref(self._lane),
         )
 
     @property
@@ -772,17 +952,9 @@ class KernelRun:
         ``firings`` holds the totals afterwards and ``baseline`` the totals
         at the warm-up boundary.
         """
-        _c_kernel.repro_sim_kernel(
-            ctypes.byref(self.plan.c_plan), warmup, cycles, self.depth,
-            *(
-                array.ctypes.data
-                for array in (
-                    self.latency, self.marking, self.deficit, self.pending,
-                    self.firings, self.baseline, self.ring_count,
-                    self.ring_edges, self.queue, self.next_ready,
-                    self.fired_cycle, self.mt, self.io,
-                )
-            ),
+        _c_kernel.repro_lane_run(
+            ctypes.byref(self.plan.c_plan), warmup, cycles,
+            ctypes.byref(self._lane),
         )
 
 
@@ -800,11 +972,14 @@ def run_window(
 
     Kept for the state-parity tests, which read the whole lane state; no
     code under ``src/`` calls it — :func:`run_windows` runs every batch.
-    Lane set-up is the same C ``repro_lane_init`` the batch workers use and
-    the throughput the same reduction, so both agree bit for bit.  Raises
-    ``RuntimeError`` unless the C backend is active.
+    It runs the same C ``repro_lane_init`` and ``repro_lane_run`` the batch
+    workers run and the throughput is the same reduction, so both agree
+    bit for bit.  Raises ``RuntimeError`` unless the C backend is active
+    and ``ValueError`` when a count of the run would not fit int32.
     """
     _require_native("run_window")
+    plan = plan_for(model.structure)
+    _lane_arrays(model, plan, _check_run(plan, max(0, cycles), max(0, warmup)))
     run = KernelRun(model, seed)
     run.run(max(0, warmup), max(0, cycles))
     window = (run.firings - run.baseline).tolist()
@@ -821,10 +996,13 @@ def run_windows(
     :func:`run_window` reduces them.  The lanes (all of one structure) run
     on up to ``_WORKERS`` threads inside the call; each lane owns its
     MT19937 stream, so the result does not depend on the thread count.
-    Raises ``ValueError`` for ``cycles <= 0``, ``MemoryError`` when the C
-    side cannot allocate lane scratch and ``RuntimeError`` unless the C
-    backend is active.
+    The call's wall seconds and lane-cycles go to the
+    ``repro_sim_kernel_*_total`` counters of the global metrics registry.
+    Raises ``ValueError`` for ``cycles <= 0`` or a count of the run that
+    would not fit int32, ``MemoryError`` when the C side cannot allocate
+    lane scratch and ``RuntimeError`` unless the C backend is active.
     """
+    started = time.perf_counter()
     if cycles <= 0:
         raise ValueError("cycles must be positive")
     if len(models) != len(seeds):
@@ -837,6 +1015,8 @@ def run_windows(
     if any(model.structure is not structure for model in models):
         raise ValueError("run_windows needs models of one compiled structure")
     plan = plan_for(structure)
+    warmup = max(0, warmup)
+    total = _check_run(plan, cycles, warmup)
     # Per-lane pointers into the models' own arrays (no stacking copy);
     # ``arrays`` keeps any converted copy alive through the call.
     arrays: List[np.ndarray] = []
@@ -846,7 +1026,7 @@ def run_windows(
     mt_index = np.empty(lanes, dtype=np.int64)
     starts = {}
     for lane, (model, seed) in enumerate(zip(models, seeds)):
-        lat, mark = _lane_arrays(model, plan)
+        lat, mark = _lane_arrays(model, plan, total)
         arrays += (lat, mark)
         latency[lane] = lat.ctypes.data
         marking0[lane] = mark.ctypes.data
@@ -862,10 +1042,13 @@ def run_windows(
         mt_index[lane] = start[1]
     windows = np.empty((lanes, plan.num_nodes), dtype=np.int64)
     status = _c_kernel.repro_sim_batch(
-        ctypes.byref(plan.c_plan), lanes, max(0, warmup), cycles,
+        ctypes.byref(plan.c_plan), lanes, warmup, cycles,
         latency, marking0, mt0, mt_index.ctypes.data,
         min(_WORKERS, lanes), windows.ctypes.data,
     )
     if status != 0:
         raise MemoryError("the simulation kernel could not allocate lane scratch")
-    return windows, [_theta(window, cycles) for window in windows.tolist()]
+    thetas = [_theta(window, cycles) for window in windows.tolist()]
+    _KERNEL_LANE_CYCLES.inc(lanes * total)
+    _KERNEL_SECONDS.inc(time.perf_counter() - started)
+    return windows, thetas

@@ -525,6 +525,22 @@ class TestHttpEndToEnd:
         with pytest.raises(RequestFailed):
             client.wait(record["id"], timeout=60)
 
+    def test_metrics_count_kernel_lane_cycles(self, live_server):
+        _, client = live_server
+        before = parse_metrics(client.metrics())
+        # A seed no other test asks, so the lane is simulated, not cached.
+        document = client.submit_and_wait(
+            {**SIM_BODY, "seed": 987_654, "warmup": 100}, timeout=60
+        )
+        assert document["status"] == "done" and not document["cached"]
+        after = parse_metrics(client.metrics())
+        name = "repro_sim_kernel_lane_cycles_total"
+        added = after[name][()] - before.get(name, {}).get((), 0.0)
+        from repro.sim.kernels import kernel_backend
+
+        assert added == (500 + 100 if kernel_backend() == "c" else 0)
+        assert "repro_sim_kernel_seconds_total" in after
+
     def test_stats_shape(self, live_server):
         _, client = live_server
         stats = client.stats()

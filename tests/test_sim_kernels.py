@@ -13,16 +13,19 @@ Theta from a :class:`TGMGSimulator` run and pruning from the tau/LP rule
 applied by hand, including degenerate lanes.
 """
 
+import dataclasses
 import math
 import random
+import subprocess
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.throughput import configuration_throughput_bound
 from repro.gmg.build import build_tgmg
 from repro.gmg.simulation import TGMGSimulator
+from repro.obs.metrics import global_registry, render_metrics
 from repro.search import search_minimize
 from repro.search.problem import SearchProblem
 from repro.search.state import BUBBLE, RETIME, Move, SearchState
@@ -278,6 +281,196 @@ class TestRunWindows:
         with kernels.use_backend("c"):
             windows, thetas = kernels.run_windows([], [], 10, 0)
         assert windows.shape[0] == 0 and thetas == []
+
+
+def _ring(run):
+    """A ``KernelRun``'s arrival buckets as lists, like ``ref._arrivals``."""
+    num_edges = run.plan.num_edges
+    return [
+        run.ring_edges[
+            slot * num_edges : slot * num_edges + int(run.ring_count[slot])
+        ].tolist()
+        for slot in range(run.depth)
+    ]
+
+
+@st.composite
+def mixed_latency_lanes(draw):
+    """Elastic lanes of one ``random_rrg`` with early nodes, where some node
+    has an out-edge of latency >= 2 ahead of a zero-latency one in edge
+    order, so the kernel's split out-lists reorder that node's walk."""
+    num_nodes = draw(st.integers(min_value=4, max_value=12))
+    rrg = random_rrg(
+        num_nodes, 2 * num_nodes, seed=draw(st.integers(min_value=0, max_value=10_000))
+    )
+    template = compiled_template_for(rrg, mode="elastic")
+    assume(template.structure.guards)
+    tokens, base = rrg.token_vector(), rrg.buffer_vector()
+    out_lists = {}
+    for edge, node in enumerate(template.structure.prod.tolist()):
+        out_lists.setdefault(node, []).append(edge)
+    # Nodes whose last out-edge is combinational: two bubbles on the first
+    # out-edge put a latency >= 2 edge ahead of it.
+    split = [
+        edges for edges in out_lists.values()
+        if len(edges) >= 2 and base[edges[-1]] == 0
+    ]
+    assume(split)
+    kept_zero = {edges[-1] for edges in split}
+    free = [edge for edge in range(rrg.num_edges) if edge not in kept_zero]
+    models = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        buffers = dict(base)
+        for edges in split:
+            buffers[edges[0]] += 2
+        for edge in draw(st.lists(st.sampled_from(free), max_size=4)):
+            buffers[edge] += draw(st.integers(min_value=1, max_value=3))
+        models.append(template.instantiate(tokens, buffers))
+    return models
+
+
+@pytest.mark.skipif(not NATIVE, reason="no C compiler for the kernel")
+class TestMixedLatencyParity:
+    """Split out-lists keep the reference order: the arrival ring and the
+    ready list, not only the windows, equal the python engine's."""
+
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(
+        models=mixed_latency_lanes(),
+        seed=st.sampled_from(LANE_SEEDS),
+        warmup=st.integers(min_value=0, max_value=20),
+        cycles=st.integers(min_value=1, max_value=60),
+    )
+    def test_state_and_batches_match_python(self, models, seed, warmup, cycles):
+        model = models[0]
+        latency = model.latency.tolist()
+        assert max(latency) >= 2
+        assert any(
+            latency[a] > 0 and latency[b] == 0
+            for edges in kernels.plan_for(model.structure).out_lists
+            for a, b in zip(edges, edges[1:])
+        ), "some node walks a delayed edge before a zero-latency one"
+        ref = ScalarSimulator(model, seed=seed)
+        ref.run(cycles=cycles, warmup=warmup)
+        with kernels.use_backend("c"):
+            run, _, _ = kernels.run_window(model, seed, cycles, warmup)
+        assert run.depth >= 3
+        assert _ring(run) == ref._arrivals
+        assert run.next_ready[: int(run.io[2])].tolist() == ref._next_ready
+        assert run.marking.tolist() == ref.marking
+        assert run.deficit.tolist() == ref._deficit
+        assert run.pending.tolist() == ref._pending
+        assert run.firings.tolist() == ref.firings
+        assert tuple(run.mt.tolist()) + (int(run.io[1]),) == ref._rng.getstate()[1]
+        # Every lane twice, under duplicate seeds.
+        _assert_batch_matches_run_window(
+            models * 2, LANE_SEEDS[: len(models)] * 2, cycles, warmup
+        )
+
+
+@pytest.mark.skipif(not NATIVE, reason="no C compiler for the kernel")
+class TestInt32Guard:
+    """A run whose counts could leave the kernel's int32 records raises
+    ``ValueError`` from both entry points instead of wrapping."""
+
+    @staticmethod
+    def _model():
+        return _identity_model(random_rrg(12, 24, seed=3))
+
+    @staticmethod
+    def _assert_both_raise(model, cycles, warmup):
+        with kernels.use_backend("c"):
+            with pytest.raises(ValueError):
+                kernels.run_windows([model, model], [1, 2], cycles, warmup)
+            with pytest.raises(ValueError):
+                kernels.run_window(model, 1, cycles, warmup)
+
+    @pytest.mark.parametrize("value", [2**31, -(2**31) - 1])
+    def test_marking_outside_int32(self, value):
+        model = self._model()
+        marking0 = model.marking0.copy()
+        marking0[0] = value
+        self._assert_both_raise(
+            dataclasses.replace(model, marking0=marking0), 10, 0
+        )
+
+    @pytest.mark.parametrize("value", [2**31, -1])
+    def test_latency_outside_int32(self, value):
+        model = self._model()
+        latency = model.latency.copy()
+        latency[0] = value
+        self._assert_both_raise(dataclasses.replace(model, latency=latency), 10, 0)
+
+    def test_cycles_plus_warmup_beyond_int32(self):
+        self._assert_both_raise(self._model(), 2**31 - 5, 5)
+
+    @pytest.mark.parametrize(
+        "capacity", ["num_nodes", "num_edges", "queue_cap", "ready_cap"]
+    )
+    def test_capacity_beyond_int32(self, capacity, monkeypatch):
+        model = self._model()
+        monkeypatch.setattr(kernels.plan_for(model.structure), capacity, 2**31)
+        self._assert_both_raise(model, 10, 0)
+
+    def test_early_deficit_growth_beyond_int32(self):
+        # Far below the cycle bound, but an early node's deficit grows by
+        # up to its in-degree per firing.
+        model = self._model()
+        assert kernels.plan_for(model.structure).early_in_degree >= 2
+        self._assert_both_raise(model, 2**30, 0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_marking_just_inside_the_bound_runs_exactly(self, sign):
+        model = self._model()
+        cycles, warmup = 40, 10
+        marking0 = model.marking0.copy()
+        marking0[0] = sign * (2**31 - 1 - cycles - warmup)
+        model = dataclasses.replace(model, marking0=marking0)
+        ref = ScalarSimulator(model, seed=1)
+        ref_run = ref.run(cycles=cycles, warmup=warmup)
+        with kernels.use_backend("c"):
+            run, window, _ = kernels.run_window(model, 1, cycles, warmup)
+            windows, _ = kernels.run_windows([model], [1], cycles, warmup)
+        assert window == ref_run.firings[0].tolist() == windows[0].tolist()
+        assert run.marking.tolist() == ref.marking
+
+
+@pytest.mark.skipif(not NATIVE, reason="no C compiler for the kernel")
+def test_run_windows_adds_its_lane_cycles_to_the_kernel_counters():
+    registry = global_registry()
+    lane_cycles = registry.counter("repro_sim_kernel_lane_cycles_total")
+    seconds = registry.counter("repro_sim_kernel_seconds_total")
+    models = _lane_models(random_rrg(10, 18, seed=4), "tgmg", 3, random.Random(2))
+    before = lane_cycles.value(), seconds.value()
+    with kernels.use_backend("c"):
+        kernels.run_windows(models, [1, 2, 1], 50, 10)
+    assert lane_cycles.value() - before[0] == 3 * (50 + 10)
+    assert seconds.value() > before[1]
+    text = render_metrics(registry)
+    assert "# TYPE repro_sim_kernel_lane_cycles_total counter" in text
+    assert "# TYPE repro_sim_kernel_seconds_total counter" in text
+
+
+@pytest.mark.skipif(
+    kernels._find_compiler() is None, reason="no C compiler on PATH"
+)
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # Every narrowing into the int32 lane records must be an explicit cast.
+    source = tmp_path / "kernel.c"
+    source.write_text(kernels._C_SOURCE, encoding="utf-8")
+    result = subprocess.run(
+        [
+            kernels._find_compiler(), "-fsyntax-only", "-Wall", "-Wextra",
+            "-Wconversion", "-Werror", str(source),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
