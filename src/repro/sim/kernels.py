@@ -53,15 +53,16 @@ markings, deficits and the worklists, and a delayed edge only appends to
 its arrival bucket; neither reads what the other writes.  So walking the
 zero-latency edges first pushes onto the worklists in the reference order,
 and walking the delayed ones next fills every bucket in the reference
-order.  Deficit updates and most worklist pushes are branch-free.
+order.  Deliveries and a firing's own deficit and ready-list updates are
+branch-free.
 
 int32 bounds.  :func:`run_windows` and :func:`run_window` raise
 ``ValueError`` rather than wrap when a lane's counts could leave int32:
 ``cycles + warmup`` must be below 2**31, and so must the node, edge, queue
 and ready-list capacities; a latency must lie in 0 .. 2**31 - 1; every
-marking must stay within int32 after ``cycles + warmup`` firings moved it
-by one each; and an early node's deficit, which grows by up to its
-in-degree per firing, must stay below 2**31.
+marking must stay within int32 over ``cycles + warmup`` cycles, each of
+which moves it by at most one; and an early node's deficit, which grows by
+up to its in-degree per firing, must stay below 2**31.
 """
 
 from __future__ import annotations
@@ -279,12 +280,12 @@ void repro_lane_init(
 }
 
 /* The one lane loop: warmup + cycles cycles from the lane's current state.
-   Deficit updates, delivery pushes and ready-list pushes are branch-free:
-   such a push always writes the slot past the list's end and advances the
-   length by the push condition.  A firing's push of a consumer it enabled
-   stays a branch: the next pop reads that slot, and a predicted branch
-   keeps the consumer's deficit load off the path from one firing to the
-   next. */
+   Deliveries, a firing's own deficit and its ready-list push are
+   branch-free: such a push always writes the slot past the list's end and
+   advances the length by the push condition.  A firing's zero-latency
+   productions stay branches: the consumer one enables is the next node
+   popped, and a predicted branch lets that pop start before the edge's
+   marking and the consumer's deficit are loaded. */
 void repro_lane_run(const Plan *plan, I64 warmup, I64 cycles, const Lane *lane)
 {
     const I32 num_nodes = plan->num_nodes;
@@ -372,18 +373,16 @@ void repro_lane_run(const Plan *plan, I64 warmup, I64 cycles, const Lane *lane)
             if (position >= 0) pending[position] = -1;
             for (I32 k = fired->out_lo; k < fired->out_mid; k++) {
                 const I32 e = out[k].edge, consumer = out[k].cons;
-                Node *const target = &node[consumer];
-                const I32 cslot = target->early_slot;
-                const I32 crossed = edge[e].marking++ == 0;
-                const I32 simple = cslot < 0;
-                const I32 deficit = target->deficit - (crossed & simple);
-                target->deficit = deficit;
-                const I32 ready = crossed & simple & (deficit == 0);
-                const I32 again = ready & (target->fired == cycle);
-                next_ready[nr_len] = consumer;
-                nr_len += again;
-                if ((ready & !again) | (crossed & (pending[cslot] == e)))
-                    queue[qlen++] = consumer;
+                if (edge[e].marking++ == 0) {
+                    Node *const target = &node[consumer];
+                    const I32 cslot = target->early_slot;
+                    if (cslot >= 0) {
+                        if (pending[cslot] == e) queue[qlen++] = consumer;
+                    } else if (--target->deficit == 0) {
+                        if (target->fired == cycle) next_ready[nr_len++] = consumer;
+                        else queue[qlen++] = consumer;
+                    }
+                }
             }
             for (I32 k = fired->out_mid; k < fired->out_hi; k++) {
                 const I32 e = out[k].edge;
