@@ -1,7 +1,10 @@
 """Pytest configuration for the benchmark harness.
 
-The benchmark directory is kept outside the default ``testpaths`` so that
-``pytest`` runs the unit/integration suite quickly; run the harness with::
+No ``testpaths`` is set, so a plain ``pytest`` collects these
+``test_bench_*.py`` paper-shape checks together with ``tests/``: they run in
+the with-scipy tier-1 leg.  The no-scipy leg runs ``pytest tests/`` only,
+because on the pure LP backend these sweeps take many minutes.  Run the
+harness alone with::
 
     pytest benchmarks/ --benchmark-only
 """

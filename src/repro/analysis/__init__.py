@@ -14,7 +14,6 @@ from repro.analysis.cycle_time import (
     cycle_time,
     critical_path,
     node_arrival_times,
-    zero_buffer_subgraph,
 )
 from repro.analysis.performance import (
     PerformancePoint,
@@ -29,7 +28,6 @@ __all__ = [
     "cycle_time",
     "critical_path",
     "node_arrival_times",
-    "zero_buffer_subgraph",
     "PerformancePoint",
     "effective_cycle_time",
     "evaluate_configuration",

@@ -13,10 +13,9 @@ longest-path computation in a DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import networkx as nx
-
+from repro.core.graphs import zero_edge_arrivals
 from repro.core.rrg import RRG
 
 
@@ -41,23 +40,11 @@ class CriticalPath:
     delay: float
 
 
-def zero_buffer_subgraph(rrg: RRG, buffers: Optional[Dict[int, int]] = None) -> nx.DiGraph:
-    """Return the subgraph of edges with zero buffers as a networkx DiGraph.
-
-    Args:
-        rrg: The graph under analysis.
-        buffers: Optional override of the buffer count per edge index; defaults
-            to the RRG's own buffer assignment.  This lets callers evaluate
-            candidate configurations without copying the RRG.
-    """
-    graph = nx.DiGraph()
-    for node in rrg.nodes:
-        graph.add_node(node.name, delay=node.delay)
-    for edge in rrg.edges:
-        count = edge.buffers if buffers is None else buffers.get(edge.index, edge.buffers)
-        if count == 0:
-            graph.add_edge(edge.src, edge.dst)
-    return graph
+def _zero_buffer_counts(rrg: RRG, buffers: Optional[Dict[int, int]]) -> List[int]:
+    """Buffer count per edge position, with the optional override applied."""
+    if buffers is None:
+        return [edge.buffers for edge in rrg.edges]
+    return [buffers.get(edge.index, edge.buffers) for edge in rrg.edges]
 
 
 def node_arrival_times(
@@ -69,21 +56,29 @@ def node_arrival_times(
     at the node, of the path delay.  The cycle time is the maximum arrival
     time over all nodes.
 
+    Args:
+        rrg: The graph under analysis.
+        buffers: Optional override of the buffer count per edge index; defaults
+            to the RRG's own buffer assignment.  This lets callers evaluate
+            candidate configurations without copying the RRG.
+
     Raises:
         CombinationalCycleError: when a zero-buffer cycle exists.
     """
-    graph = zero_buffer_subgraph(rrg, buffers)
-    try:
-        order = list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible as exc:
+    names = rrg.node_names
+    position = {name: i for i, name in enumerate(names)}
+    edges = rrg.edges
+    arrival = zero_edge_arrivals(
+        [node.delay for node in rrg.nodes],
+        [position[edge.src] for edge in edges],
+        [position[edge.dst] for edge in edges],
+        _zero_buffer_counts(rrg, buffers),
+    )
+    if arrival is None:
         raise CombinationalCycleError(
             f"RRG {rrg.name!r} contains a combinational cycle"
-        ) from exc
-    arrival: Dict[str, float] = {}
-    for name in order:
-        incoming = [arrival[pred] for pred in graph.predecessors(name)]
-        arrival[name] = rrg.delay(name) + (max(incoming) if incoming else 0.0)
-    return arrival
+        )
+    return dict(zip(names, arrival))
 
 
 def cycle_time(rrg: RRG, buffers: Optional[Dict[int, int]] = None) -> float:
@@ -110,7 +105,7 @@ def critical_path(
     """
     if rrg.num_nodes == 0:
         return CriticalPath(nodes=[], delay=0.0)
-    graph = zero_buffer_subgraph(rrg, buffers)
+    counts = _zero_buffer_counts(rrg, buffers)
     arrival = node_arrival_times(rrg, buffers)
     end = max(arrival, key=arrival.get)
     path = [end]
@@ -118,9 +113,9 @@ def critical_path(
     while True:
         target = arrival[current] - rrg.delay(current)
         predecessor = None
-        for pred in graph.predecessors(current):
-            if abs(arrival[pred] - target) <= 1e-9:
-                predecessor = pred
+        for edge in rrg.in_edges(current):
+            if counts[edge.index] == 0 and abs(arrival[edge.src] - target) <= 1e-9:
+                predecessor = edge.src
                 break
         if predecessor is None:
             break

@@ -20,9 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
+from repro.core.graphs import bellman_ford, zero_edge_arrivals
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class RRGError(Exception):
@@ -281,7 +284,12 @@ class RRG:
     # -- structure queries -------------------------------------------------------
 
     def to_networkx(self) -> nx.MultiDiGraph:
-        """Export the structure (with attributes) to a networkx MultiDiGraph."""
+        """Export the structure (with attributes) to a networkx MultiDiGraph.
+
+        networkx is imported here only: no analysis in this package needs it.
+        """
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for node in self._nodes.values():
             graph.add_node(node.name, delay=node.delay, early=node.early)
@@ -296,28 +304,6 @@ class RRG:
                 index=edge.index,
             )
         return graph
-
-    def is_strongly_connected(self) -> bool:
-        """True when the underlying multigraph is strongly connected."""
-        if not self._nodes:
-            return False
-        return nx.is_strongly_connected(self.to_networkx())
-
-    def strongly_connected_components(self) -> List[List[str]]:
-        """Strongly connected components as lists of node names."""
-        return [sorted(c) for c in nx.strongly_connected_components(self.to_networkx())]
-
-    def simple_cycles(self, limit: Optional[int] = None) -> List[List[str]]:
-        """Enumerate simple cycles (node name lists); optionally stop at ``limit``."""
-        cycles: List[List[str]] = []
-        # networkx's simple_cycles on a MultiDiGraph enumerates node cycles;
-        # parallel edges do not add new node sequences, which is fine for
-        # liveness-style checks that use minimum edge weights.
-        for cycle in nx.simple_cycles(self.to_networkx()):
-            cycles.append(list(cycle))
-            if limit is not None and len(cycles) >= limit:
-                break
-        return cycles
 
     def cycle_token_sum(self, cycle: Sequence[str]) -> int:
         """Minimum total R0 along a directed cycle given as a node sequence.
@@ -344,43 +330,26 @@ class RRG:
         ``O(V + E)`` topological sweep instead of Bellman-Ford, which is what
         keeps validation linear for the 500–5000 node ``large_rrg`` family.
 
-        General path (some R0 < 0): negative-cycle detection on edge weights
-        ``R0(e) - 1 / (|E| + 1)`` — a cycle whose token sum is <= 0 becomes a
-        negative cycle under this shift, while cycles with sum >= 1 stay
-        positive.
+        General path (some R0 < 0): Bellman-Ford negative-cycle detection on
+        the exact integer weights ``(|E| + 1) * R0(e) - 1``.  A simple cycle
+        of ``k <= |E|`` edges weighs ``(|E| + 1) * sum(R0) - k``, which is
+        negative exactly when its token sum is <= 0.
         """
         if not self._edges:
             return True
+        position = {name: i for i, name in enumerate(self._nodes)}
+        src = [position[edge.src] for edge in self._edges]
+        dst = [position[edge.dst] for edge in self._edges]
         if all(edge.tokens >= 0 for edge in self._edges):
-            return self._zero_token_subgraph_is_acyclic()
-        shift = 1.0 / (len(self._edges) + 1)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._nodes)
-        for edge in self._edges:
-            weight = edge.tokens - shift
-            if graph.has_edge(edge.src, edge.dst):
-                weight = min(weight, graph[edge.src][edge.dst]["weight"])
-            graph.add_edge(edge.src, edge.dst, weight=weight)
-        return not nx.negative_edge_cycle(graph, weight="weight")
-
-    def _zero_token_subgraph_is_acyclic(self) -> bool:
-        """Kahn's algorithm over the zero-token edges only (no networkx)."""
-        out_lists: Dict[str, List[str]] = {name: [] for name in self._nodes}
-        indegree: Dict[str, int] = {name: 0 for name in self._nodes}
-        for edge in self._edges:
-            if edge.tokens == 0:
-                out_lists[edge.src].append(edge.dst)
-                indegree[edge.dst] += 1
-        ready = [name for name, degree in indegree.items() if degree == 0]
-        processed = 0
-        while ready:
-            name = ready.pop()
-            processed += 1
-            for succ in out_lists[name]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        return processed == len(self._nodes)
+            tokens = [edge.tokens for edge in self._edges]
+            zeros = [0.0] * len(position)
+            return zero_edge_arrivals(zeros, src, dst, tokens) is not None
+        scale = len(self._edges) + 1
+        arcs = [
+            (u, v, scale * edge.tokens - 1)
+            for u, v, edge in zip(src, dst, self._edges)
+        ]
+        return bellman_ford(len(position), arcs) is not None
 
     def validate(self) -> None:
         """Raise :class:`RRGError` when the RRG violates Definition 2.1."""

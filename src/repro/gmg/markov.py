@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.configuration import RRConfiguration
+from repro.core.graphs import terminal_class
 from repro.core.rrg import RRG
 from repro.gmg.build import build_tgmg
 from repro.gmg.graph import TGMG, GMGError
@@ -168,9 +169,10 @@ class MarkovChainAnalyzer:
     def analyze(self) -> MarkovResult:
         """Build the reachable chain, solve the stationary distribution exactly.
 
-        Uses scipy.sparse for the graph analysis when available; otherwise
-        falls back to a networkx + dense-numpy path (same results, fine for
-        the small chains this analyser targets).
+        The chain settles in the terminal class reachable from the initial
+        state (:func:`repro.core.graphs.terminal_class`); its stationary
+        distribution is a dense least-squares solve, fine for the small
+        chains this analyser targets.
         """
         index_of: Dict[State, int] = {}
         states: List[State] = []
@@ -208,19 +210,8 @@ class MarkovChainAnalyzer:
                     frontier.append(target)
             reward_rows[current] = rewards
 
-        size = len(states)
-        if _scipy_sparse_available():
-            import scipy.sparse as sp
-
-            rows = [t[0] for t in transitions]
-            cols = [t[1] for t in transitions]
-            values = [t[2] for t in transitions]
-            matrix = sp.csr_matrix((values, (rows, cols)), shape=(size, size))
-            recurrent = self._recurrent_class(matrix, start)
-            distribution = self._stationary_distribution(matrix, recurrent)
-        else:
-            recurrent = _recurrent_class_networkx(transitions, size, start)
-            distribution = _stationary_distribution_dense(transitions, recurrent)
+        recurrent = terminal_class(len(states), transitions, start)
+        distribution = _stationary_distribution_dense(transitions, recurrent)
 
         rates: Dict[str, float] = {name: 0.0 for name in self._node_names}
         for local_index, state_index in enumerate(recurrent):
@@ -233,96 +224,11 @@ class MarkovChainAnalyzer:
             throughput=throughput, num_states=len(recurrent), rates=rates
         )
 
-    @staticmethod
-    def _recurrent_class(matrix, start: int) -> List[int]:
-        """Indices of the terminal strongly connected class reachable from start."""
-        import scipy.sparse.csgraph as csgraph
-
-        n_components, labels = csgraph.connected_components(
-            matrix, directed=True, connection="strong"
-        )
-        # Condensation: a component is terminal if it has no edge leaving it.
-        coo = matrix.tocoo()
-        leaves = set()
-        for i, j in zip(coo.row, coo.col):
-            if labels[i] != labels[j]:
-                leaves.add(labels[i])
-        terminal = [c for c in range(n_components) if c not in leaves]
-        # Pick the terminal component reachable from the initial state.  With a
-        # single terminal class (the usual case) this is unambiguous.
-        reachable = _reachable_set(matrix, start)
-        candidates = [c for c in terminal if any(labels[i] == c for i in reachable)]
-        if not candidates:
-            raise StateSpaceError("no terminal recurrent class found")
-        # Deterministic tie-break (lowest component label), matching the
-        # networkx fallback path.
-        chosen = min(candidates)
-        return [i for i in range(matrix.shape[0]) if labels[i] == chosen]
-
-    @staticmethod
-    def _stationary_distribution(matrix, recurrent: List[int]) -> np.ndarray:
-        """Solve pi P = pi restricted to the recurrent class."""
-        sub = matrix[recurrent, :][:, recurrent].toarray()
-        size = sub.shape[0]
-        # Solve (P^T - I) pi = 0 with the normalisation sum(pi) = 1.
-        system = np.vstack([sub.T - np.eye(size), np.ones((1, size))])
-        rhs = np.zeros(size + 1)
-        rhs[-1] = 1.0
-        solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        solution = np.clip(solution, 0.0, None)
-        total = solution.sum()
-        if total <= 0:
-            raise StateSpaceError("failed to solve the stationary distribution")
-        return solution / total
-
-
-def _reachable_set(matrix, start: int) -> List[int]:
-    """Indices reachable from ``start`` in the transition graph."""
-    import scipy.sparse.csgraph as csgraph
-
-    order = csgraph.breadth_first_order(
-        matrix, start, directed=True, return_predecessors=False
-    )
-    return list(order)
-
-
-def _scipy_sparse_available() -> bool:
-    try:
-        import scipy.sparse  # noqa: F401
-        import scipy.sparse.csgraph  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _recurrent_class_networkx(
-    transitions: List[Tuple[int, int, float]], size: int, start: int
-) -> List[int]:
-    """scipy-free terminal-class detection (same contract as _recurrent_class)."""
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(size))
-    graph.add_edges_from((i, j) for i, j, _ in transitions)
-    labels = {}
-    for label, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            labels[node] = label
-    leaves = {labels[i] for i, j, _ in transitions if labels[i] != labels[j]}
-    reachable = {start} | nx.descendants(graph, start)
-    candidates = sorted(
-        {labels[i] for i in reachable if labels[i] not in leaves}
-    )
-    if not candidates:
-        raise StateSpaceError("no terminal recurrent class found")
-    chosen = candidates[0]
-    return [i for i in range(size) if labels.get(i) == chosen]
-
 
 def _stationary_distribution_dense(
     transitions: List[Tuple[int, int, float]], recurrent: List[int]
 ) -> np.ndarray:
-    """scipy-free stationary distribution over the recurrent class."""
+    """Solve pi P = pi restricted to the recurrent class."""
     local = {state: position for position, state in enumerate(recurrent)}
     size = len(recurrent)
     sub = np.zeros((size, size))

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.configuration import RetimingVector
+from repro.core.graphs import bellman_ford
 from repro.core.rrg import RRG
 
 
@@ -149,21 +150,12 @@ def retiming_feasible(
             if d_matrix[u, v] > period + 1e-9:
                 add(u, v, w_matrix[u, v] - 1.0)
 
-    # Bellman-Ford from a virtual source connected to every node with weight 0.
-    dist = [0.0] * n
-    for _ in range(n):
-        changed = False
-        for (src, dst), bound in constraints.items():
-            if dist[src] + bound < dist[dst] - 1e-12:
-                dist[dst] = dist[src] + bound
-                changed = True
-        if not changed:
-            break
-    else:
-        for (src, dst), bound in constraints.items():
-            if dist[src] + bound < dist[dst] - 1e-12:
-                return None
-
+    # Every bound is integer-valued, so the float comparisons are exact.
+    dist = bellman_ford(
+        n, [(src, dst, bound) for (src, dst), bound in constraints.items()]
+    )
+    if dist is None:
+        return None
     lags = {problem.nodes[i]: int(round(dist[i])) for i in range(n)}
     return RetimingVector(lags).normalized()
 

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.graphs import zero_edge_arrivals
 from repro.core.rrg import RRG
 from repro.gmg.build import build_template
 from repro.lp import Model, SolveStatus
@@ -128,37 +129,6 @@ class SearchProblem:
 
     # -- cycle time ------------------------------------------------------------
 
-    def _arrival_times(self, state: SearchState) -> List[float]:
-        """Kahn sweep over the zero-buffer subgraph (feasible => acyclic)."""
-        delays = self.delays
-        buffers = state.buffers
-        edge_src, edge_dst = state.edge_src, state.edge_dst
-        num_nodes = len(delays)
-        indegree = [0] * num_nodes
-        zero_out: List[List[int]] = [[] for _ in range(num_nodes)]
-        for edge in range(len(buffers)):
-            if buffers[edge] == 0:
-                zero_out[edge_src[edge]].append(edge_dst[edge])
-                indegree[edge_dst[edge]] += 1
-        arrival = list(delays)
-        ready = [n for n in range(num_nodes) if indegree[n] == 0]
-        processed = 0
-        while ready:
-            node = ready.pop()
-            processed += 1
-            reach = arrival[node]
-            for succ in zero_out[node]:
-                if reach + delays[succ] > arrival[succ]:
-                    arrival[succ] = reach + delays[succ]
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if processed != num_nodes:
-            raise ValueError(
-                "state has a zero-buffer cycle (infeasible configuration)"
-            )
-        return arrival
-
     def critical_edges(self, state: SearchState) -> List[int]:
         """Zero-buffer edges on maximum-delay combinational paths.
 
@@ -167,7 +137,13 @@ class SearchProblem:
         edges where a bubble cuts the critical path — and their endpoints are
         where register shifts can.
         """
-        arrival = self._arrival_times(state)
+        arrival = zero_edge_arrivals(
+            self.delays, state.edge_src, state.edge_dst, state.buffers
+        )
+        if arrival is None:
+            raise ValueError(
+                "state has a zero-buffer cycle (infeasible configuration)"
+            )
         tau = max(arrival) if arrival else 0.0
         delays = self.delays
         buffers = state.buffers

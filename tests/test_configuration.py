@@ -1,5 +1,6 @@
 """Tests for retiming vectors, configurations and elementary transformations."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ class TestRetimingVector:
         rrg = figure1a_rrg(0.5)
         vector = RetimingVector({"F1": lag_a, "F2": lag_b})
         shifted = vector.shifted_tokens(rrg)
-        for cycle in rrg.simple_cycles():
+        for cycle in nx.simple_cycles(rrg.to_networkx()):
             original = rrg.cycle_token_sum(cycle)
             new_total = 0
             for i, src in enumerate(cycle):

@@ -11,7 +11,6 @@ from repro.analysis.cycle_time import (
     is_combinational_path,
     node_arrival_times,
     path_delay,
-    zero_buffer_subgraph,
 )
 from repro.core.path_constraints import check_cycle_time_feasible
 from repro.core.rrg import RRG
@@ -72,11 +71,6 @@ class TestCriticalPath:
     def test_is_combinational_path_rejects_buffered_edges(self, figure1a):
         assert not is_combinational_path(figure1a, ["m", "F1"])
         assert not is_combinational_path(figure1a, ["F1", "F3"])  # no such edge
-
-    def test_zero_buffer_subgraph_contents(self, figure1b):
-        graph = zero_buffer_subgraph(figure1b)
-        assert graph.has_edge("m", "F1")
-        assert not graph.has_edge("F1", "F2")
 
 
 class TestPathConstraintsAgree:
