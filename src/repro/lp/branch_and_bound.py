@@ -25,6 +25,16 @@ worst child bound is largest wins; its two child solves are then reused as
 the real children.  On the weak LP relaxations of the MAX_THR models this
 shrinks the tree by an order of magnitude, which is worth far more than the
 extra relaxations per node.
+
+A candidate stops being scored as soon as it cannot win (Achterberg, Koch &
+Martin, "Branching rules revisited", Oper. Res. Letters 33, 2005): when its
+down child's bound is already <= the best score so far, the up child is not
+solved.  Its score, the minimum of the two bounds, cannot pass the strict
+``score > best_score`` test, and since ``best_score < cutoff()`` always holds
+(a scored candidate has a child below the cutoff) its down child survives the
+cutoff, so it cannot be the candidate that fathoms the node either.  The
+chosen variable, the children, the heap and the incumbent are therefore the
+same as with both children solved; only the relaxation count falls.
 """
 
 from __future__ import annotations
@@ -47,7 +57,9 @@ from repro.lp.revised_simplex import (
 from repro.lp.solution import SolveStatus
 
 _INTEGRALITY_TOL = 1e-6
-#: Node budget; a solve that reaches it reports its incumbent as FEASIBLE.
+#: Node budget, counted in solved relaxations, strong-branching children
+#: included; a skipped child is not solved, so a node spends less of it.  A
+#: solve that reaches it reports its incumbent as FEASIBLE.
 _MAX_NODES = 100000
 #: Relative gap below which a node is fathomed.
 _MIP_GAP = 1e-6
@@ -214,6 +226,12 @@ class BranchAndBoundSolver:
                 children = []
                 child_bounds = []
                 for branch in ("down", "up"):
+                    if branch == "up" and child_bounds[0] <= best_score:
+                        # The score min(child_bounds) is already at most
+                        # best_score: this candidate cannot win (see the
+                        # module docstring), so its up child is not solved.
+                        child_bounds.append(math.inf)
+                        break
                     child_lower = node.lower.copy()
                     child_upper = node.upper.copy()
                     if branch == "down":

@@ -26,6 +26,25 @@ Inequality slacks get bounds ``[0, inf)``; equality slacks are fixed at
 ``[0, 0]``.  Every variable is nonbasic at one of its finite bounds (or at
 zero when free) or basic; the ratio test lets a nonbasic variable jump to its
 opposite bound without a basis change (a "bound flip").
+
+The loops keep their bookkeeping up to date instead of re-deriving it from
+the status vector at every pivot.  A solve builds these vectors once, when
+its start basis is installed, and each status change (bound flip, the
+leaving and the entering column of a pivot) sets its own entries:
+
+* ``nb``, every column's nonbasic value (``lo``, ``hi`` or 0.0), so the
+  basic values are ``B^-1 (b - A nb)`` with no per-pivot rebuild;
+* a sign vector, +1 at a lower bound, -1 at an upper bound and 0 for basic
+  and fixed columns.  Multiplying by +-1 is exact, so ``sign * r < -tol`` is
+  the pricing test for both bound sides in one comparison, and ``sign *
+  arow`` does the same in the dual ratio test; FREE columns get their own
+  ``|value| > tol`` test, made only when a FREE column exists;
+* the bounds of each row's basic column, for the ratio tests.
+
+When most pivot-column entries are zero, the eta update of the inverse
+touches only the rows whose entry is nonzero.  All of these do the same
+floating-point operations on the same operands as the direct formulas, so
+pivots, iteration counts and results do not change.
 """
 
 from __future__ import annotations
@@ -117,11 +136,11 @@ class BasisState:
         """
         if self.basic.shape != (m,) or self.vstat.shape != (total,):
             return False
-        if not (bool(np.all(self.basic >= 0)) and bool(np.all(self.basic < total))):
+        if m and (self.basic.min() < 0 or self.basic.max() >= total):
             return False
-        if int((self.vstat == BASIC).sum()) != m:
+        if np.count_nonzero(self.vstat == BASIC) != m:
             return False
-        return bool(np.all(self.vstat[self.basic] == BASIC))
+        return bool((self.vstat[self.basic] == BASIC).all())
 
 
 class PreparedLP:
@@ -181,7 +200,19 @@ class PreparedLP:
 
 
 class _State:
-    """Mutable solve state: the basis, its inverse and the basic values."""
+    """Mutable solve state: the basis, its inverse and the basic values.
+
+    Beside ``basic`` and ``vstat`` it keeps vectors derived from them, built
+    by :meth:`derive` when a whole basis is installed and kept in step by
+    :meth:`move` and :meth:`pivot` as single columns change status:
+
+    * ``nb``, every column's value while nonbasic: ``lo`` at AT_LOWER,
+      ``hi`` at AT_UPPER, 0.0 for BASIC and FREE columns;
+    * ``sign``, +1 at a lower bound, -1 at an upper bound, 0 for basic, FREE
+      and fixed (``lo == hi``) columns;
+    * ``free``, the nonfixed FREE columns, or None when there are none;
+    * ``lb`` and ``ub``, the bounds of each row's basic column.
+    """
 
     __slots__ = (
         "prep",
@@ -189,9 +220,13 @@ class _State:
         "hi",
         "basic",
         "vstat",
+        "nb",
+        "sign",
+        "free",
+        "lb",
+        "ub",
         "binv",
         "xB",
-        "pivots",
         "age",
         "devex",
     )
@@ -202,25 +237,91 @@ class _State:
         self.hi = hi
         self.basic = np.empty(prep.m, dtype=np.int64)
         self.vstat = np.empty(prep.total, dtype=np.int8)
-        self.binv = np.eye(prep.m)
-        self.xB = np.zeros(prep.m)
-        self.pivots = 0
+        self.nb = None
+        self.sign = None
+        self.free = None
+        self.lb = None
+        self.ub = None
+        self.binv = None
+        self.xB = None
         self.age = 0
         self.devex = np.ones(prep.total)
 
-    def nonbasic_values(self) -> np.ndarray:
-        """Values of every column, with basic positions left at zero."""
-        values = np.where(
-            self.vstat == AT_LOWER,
-            self.lo,
-            np.where(self.vstat == AT_UPPER, self.hi, 0.0),
-        )
-        values[self.vstat == BASIC] = 0.0
-        return values
+    def derive(self) -> None:
+        """Build the derived vectors from ``basic`` and ``vstat``."""
+        at_lo = self.vstat == AT_LOWER
+        at_hi = self.vstat == AT_UPPER
+        self.nb = np.where(at_lo, self.lo, np.where(at_hi, self.hi, 0.0))
+        sign = np.zeros(self.prep.total)
+        sign[at_lo] = 1.0
+        sign[at_hi] = -1.0
+        fixed = self.lo == self.hi
+        sign[fixed] = 0.0
+        self.sign = sign
+        free = (self.vstat == FREE) & ~fixed
+        self.free = free if free.any() else None
+        self.lb = self.lo[self.basic]
+        self.ub = self.hi[self.basic]
+
+    def move(self, j: int, status: int) -> None:
+        """Give column ``j`` a new status: BASIC when it enters the basis,
+        else the bound it rests at.  (Only entering takes a FREE column
+        out of FREE.)"""
+        self.vstat[j] = status
+        if status == BASIC:
+            self.nb[j] = 0.0
+            self.sign[j] = 0.0
+            if self.free is not None:
+                self.free[j] = False
+            return
+        lo = self.lo[j]
+        hi = self.hi[j]
+        at_lower = status == AT_LOWER
+        self.nb[j] = lo if at_lower else hi
+        self.sign[j] = 0.0 if lo == hi else (1.0 if at_lower else -1.0)
+
+    def pivot(
+        self, row: int, col: int, leaving_status: int, alpha: np.ndarray
+    ) -> bool:
+        """Swap ``col`` into the basis at ``row``; the leaving column rests at
+        ``leaving_status``.  ``alpha`` is ``B^-1 A[:, col]`` before the swap.
+
+        Rank-1 (eta) update of the inverse, ``binv[i] -= alpha[i] * br``;
+        returns False when the periodic refactorisation finds a singular
+        basis.
+        """
+        self.move(int(self.basic[row]), leaving_status)
+        self.basic[row] = col
+        self.move(col, BASIC)
+        self.lb[row] = self.lo[col]
+        self.ub[row] = self.hi[col]
+        binv = self.binv
+        br = binv[row] / alpha[row]
+        rows = alpha.nonzero()[0]
+        if 2 * rows.size < alpha.size:
+            # Sparse pivot column: gather and scatter only the rows that
+            # change (the others differ at most in the sign of a zero).
+            binv[rows] -= alpha[rows, None] * br
+        else:
+            binv -= alpha[:, None] * br
+        binv[row] = br
+        self.age += 1
+        if self.age >= _REFACTOR_EVERY:
+            return self.refactorize()
+        return True
+
+    def admissible(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """Nonbasic columns that may enter, given per-column rates ``values``:
+        at a lower bound with ``values < -tol``, at an upper bound with
+        ``values > tol`` (together ``sign * values < -tol``), and FREE with
+        ``|values| > tol``."""
+        mask = self.sign * values < -tol
+        if self.free is not None:
+            mask |= self.free & (np.abs(values) > tol)
+        return mask
 
     def recompute_xb(self) -> None:
-        rhs = self.prep.b - self.prep.A @ self.nonbasic_values()
-        self.xB = self.binv @ rhs
+        self.xB = self.binv @ (self.prep.b - self.prep.A @ self.nb)
 
     def refactorize(self) -> bool:
         """Rebuild the basis inverse from scratch; False when B is singular."""
@@ -233,7 +334,7 @@ class _State:
         return True
 
     def point(self) -> np.ndarray:
-        values = self.nonbasic_values()
+        values = self.nb.copy()
         values[self.basic] = self.xB
         return values
 
@@ -350,9 +451,9 @@ class RevisedSimplexSolver:
         )
         state.basic[:] = prep.n + np.arange(prep.m)
         state.vstat[state.basic] = BASIC
+        state.derive()
         state.binv = np.eye(prep.m)
         state.recompute_xb()
-        state.devex[:] = 1.0
 
     def _install_basis(self, state: _State, basis: BasisState) -> bool:
         state.basic[:] = basis.basic
@@ -361,55 +462,47 @@ class RevisedSimplexSolver:
         # rest at a bound that exists.
         finite_lo = np.isfinite(state.lo)
         finite_hi = np.isfinite(state.hi)
-        at_lo = state.vstat == AT_LOWER
-        at_hi = state.vstat == AT_UPPER
-        state.vstat[at_lo & ~finite_lo] = np.where(
-            finite_hi[at_lo & ~finite_lo], AT_UPPER, FREE
-        )
-        at_hi = state.vstat == AT_UPPER
-        state.vstat[at_hi & ~finite_hi] = np.where(
-            finite_lo[at_hi & ~finite_hi], AT_LOWER, FREE
-        )
+        stray = (state.vstat == AT_LOWER) & ~finite_lo
+        if stray.any():
+            state.vstat[stray] = np.where(finite_hi[stray], AT_UPPER, FREE)
+        stray = (state.vstat == AT_UPPER) & ~finite_hi
+        if stray.any():
+            state.vstat[stray] = np.where(finite_lo[stray], AT_LOWER, FREE)
+        state.derive()
         if (
             basis.binv is not None
             and basis.binv.shape == (state.prep.m, state.prep.m)
             and basis.age < _REFACTOR_EVERY
         ):
             # Inherit the factorised inverse from the parent solve instead of
-            # paying an O(m^3) inversion per warm start.
+            # paying an O(m^3) inversion per warm start.  Copied: sibling
+            # nodes warm-start from the same parent basis.
             state.binv = basis.binv.copy()
             state.age = basis.age
             state.recompute_xb()
-        elif not state.refactorize():
-            return False
-        state.devex[:] = 1.0
-        return True
+            return True
+        return state.refactorize()
 
     # -- main driver --------------------------------------------------------
 
     def _run(self, state: _State, warm: bool) -> SimplexResult:
         prep = state.prep
-        iterations = 0
 
-        if warm:
-            primal_infeas = self._primal_infeasibility(state)
-            if primal_infeas <= _FEASIBILITY_TOL:
-                status, iters = self._primal(state, phase1=False)
-                iterations += iters
-            elif self._dual_feasible(state):
-                status, iters = self._dual(state)
-                iterations += iters
+        if not warm:
+            status, iterations = self._phase1_then_2(state)
+        elif self._primal_infeasibility(state) <= _FEASIBILITY_TOL:
+            status, iterations = self._primal(state, phase1=False)
+        else:
+            r = self._reduced_costs(state)
+            if self._dual_feasible(state, r):
+                status, iterations = self._dual(state, r)
                 if status is SolveStatus.OPTIMAL:
                     # Dual simplex stops at primal feasibility; polish with a
                     # (usually zero-iteration) primal pass for safety.
                     status, iters = self._primal(state, phase1=False)
                     iterations += iters
             else:
-                status, iters = self._phase1_then_2(state)
-                iterations += iters
-        else:
-            status, iters = self._phase1_then_2(state)
-            iterations += iters
+                status, iterations = self._phase1_then_2(state)
 
         if status is not SolveStatus.OPTIMAL:
             return SimplexResult(status, None, None, iterations)
@@ -417,17 +510,13 @@ class RevisedSimplexSolver:
         point = state.point()
         x = point[: prep.n]
         objective = float(prep.c_ext[: prep.n] @ x)
+        # The state ends with this solve, so its arrays become the token.
         return SimplexResult(
             SolveStatus.OPTIMAL,
             x,
             objective,
             iterations,
-            BasisState(
-                state.basic.copy(),
-                state.vstat.copy(),
-                state.binv.copy(),
-                state.age,
-            ),
+            BasisState(state.basic, state.vstat, state.binv, state.age),
         )
 
     def _phase1_then_2(self, state: _State) -> Tuple[SolveStatus, int]:
@@ -445,10 +534,8 @@ class RevisedSimplexSolver:
     # -- shared pieces ------------------------------------------------------
 
     def _primal_infeasibility(self, state: _State) -> float:
-        lb = state.lo[state.basic]
-        ub = state.hi[state.basic]
-        below = np.maximum(lb - state.xB, 0.0)
-        above = np.maximum(state.xB - ub, 0.0)
+        below = np.maximum(state.lb - state.xB, 0.0)
+        above = np.maximum(state.xB - state.ub, 0.0)
         below[~np.isfinite(below)] = 0.0
         above[~np.isfinite(above)] = 0.0
         return float(below.sum() + above.sum())
@@ -457,8 +544,7 @@ class RevisedSimplexSolver:
         y = state.prep.c_ext[state.basic] @ state.binv
         return state.prep.c_ext - y @ state.prep.A
 
-    def _dual_feasible(self, state: _State) -> bool:
-        r = self._reduced_costs(state)
+    def _dual_feasible(self, state: _State, r: np.ndarray) -> bool:
         tol = max(_TOLERANCE, 1e-7)
         bad_lo = (state.vstat == AT_LOWER) & (r < -tol)
         bad_hi = (state.vstat == AT_UPPER) & (r > tol)
@@ -472,13 +558,7 @@ class RevisedSimplexSolver:
         bland: bool,
     ) -> Tuple[int, int]:
         """Return (column, direction) of the entering variable, or (-1, 0)."""
-        tol = _TOLERANCE
-        fixed = state.lo == state.hi
-        prof_lo = (state.vstat == AT_LOWER) & (r < -tol)
-        prof_hi = (state.vstat == AT_UPPER) & (r > tol)
-        prof_free = (state.vstat == FREE) & (np.abs(r) > tol)
-        mask = (prof_lo | prof_hi | prof_free) & ~fixed
-        candidates = np.nonzero(mask)[0]
+        candidates = np.nonzero(state.admissible(r, _TOLERANCE))[0]
         if candidates.size == 0:
             return -1, 0
         if bland:
@@ -495,23 +575,6 @@ class RevisedSimplexSolver:
         else:
             direction = 1 if r[j] < 0 else -1
         return j, direction
-
-    def _eta_update(self, state: _State, row: int, alpha: np.ndarray) -> bool:
-        """Rank-1 update of the basis inverse after a pivot on ``row``.
-
-        ``state.basic``/``state.vstat`` must already reflect the new basis.
-        Refactorises periodically (which also refreshes ``xB``); returns False
-        when the refactorisation finds a singular basis.
-        """
-        piv = alpha[row]
-        br = state.binv[row] / piv
-        state.binv -= np.outer(alpha, br)
-        state.binv[row] = br
-        state.pivots += 1
-        state.age += 1
-        if state.age >= _REFACTOR_EVERY:
-            return state.refactorize()
-        return True
 
     def _update_devex(
         self, state: _State, row: int, col: int, alpha: np.ndarray
@@ -536,22 +599,18 @@ class RevisedSimplexSolver:
         ftol = _FEASIBILITY_TOL
         bland = False
         degenerate_run = 0
+        below = above = None
 
         for iteration in range(_MAX_ITERATIONS):
-            lb = state.lo[state.basic]
-            ub = state.hi[state.basic]
-            below = state.xB < lb - ftol
-            above = state.xB > ub + ftol
-
             if phase1:
+                below = state.xB < state.lb - ftol
+                above = state.xB > state.ub + ftol
                 if not (below.any() or above.any()):
                     return SolveStatus.OPTIMAL, iteration
                 d = above.astype(float) - below.astype(float)
                 y = d @ state.binv
                 r = -(y @ prep.A)
             else:
-                below[:] = False
-                above[:] = False
                 r = self._reduced_costs(state)
 
             col, direction = self._pick_entering(state, r, bland)
@@ -569,7 +628,7 @@ class RevisedSimplexSolver:
             delta = -direction * alpha  # change rate of xB per unit step
 
             row, step, hit = self._primal_ratio(
-                state, delta, below, above, lb, ub, bland
+                state, delta, below, above, bland
             )
             flip = state.hi[col] - state.lo[col]
             if not math.isfinite(flip):
@@ -584,7 +643,9 @@ class RevisedSimplexSolver:
                 # Bound flip: the entering variable crosses to its other
                 # bound before any basic variable blocks.
                 state.xB += delta * flip
-                state.vstat[col] = AT_UPPER if state.vstat[col] == AT_LOWER else AT_LOWER
+                state.move(
+                    col, AT_UPPER if state.vstat[col] == AT_LOWER else AT_LOWER
+                )
                 continue
 
             if abs(alpha[row]) < _PIVOT_TOL:
@@ -604,11 +665,8 @@ class RevisedSimplexSolver:
             self._update_devex(state, row, col, alpha)
             state.xB += delta * step
             state.xB[row] = enter_value
-            leaving = state.basic[row]
-            state.vstat[leaving] = AT_LOWER if hit < 0 else AT_UPPER
-            state.basic[row] = col
-            state.vstat[col] = BASIC
-            if not self._eta_update(state, row, alpha):
+            leaving_status = AT_LOWER if hit < 0 else AT_UPPER
+            if not state.pivot(row, col, leaving_status, alpha):
                 return SolveStatus.ERROR, iteration
 
             if step <= _DEGENERATE_STEP:
@@ -624,53 +682,51 @@ class RevisedSimplexSolver:
         self,
         state: _State,
         delta: np.ndarray,
-        below: np.ndarray,
-        above: np.ndarray,
-        lb: np.ndarray,
-        ub: np.ndarray,
+        below: Optional[np.ndarray],
+        above: Optional[np.ndarray],
         bland: bool,
     ) -> Tuple[int, float, int]:
         """Bounded ratio test.
 
-        Feasible basics block at their own bounds; infeasible basics (phase 1)
-        block when they reach the bound they currently violate.  Returns
-        ``(row, step, hit)`` with ``hit`` -1/+1 for the lower/upper bound the
-        blocking variable lands on, or ``row = -1`` when nothing blocks.
+        Feasible basics block at their own bounds; infeasible basics (phase 1,
+        flagged by ``below``/``above``, which are None in phase 2) block when
+        they reach the bound they currently violate.  Returns ``(row, step,
+        hit)`` with ``hit`` -1/+1 for the lower/upper bound the blocking
+        variable lands on, or ``row = -1`` when nothing blocks.  A basic
+        with an infinite bound gets an infinite step from the division.
         """
-        m = delta.shape[0]
         tol = _TOLERANCE
-        steps = np.full(m, math.inf)
-        hits = np.zeros(m, dtype=np.int8)
-        feasible = ~(below | above)
+        lb = state.lb
+        ub = state.ub
+        steps = np.full(delta.shape[0], math.inf)
+        down = delta < -tol
+        up = delta > tol
+        if below is not None:
+            feasible = ~(below | above)
+            down &= feasible
+            up &= feasible
 
-        down = feasible & (delta < -tol)
         if down.any():
             gap = state.xB[down] - lb[down]
-            steps[down] = np.where(
-                np.isfinite(gap), np.maximum(gap, 0.0) / (-delta[down]), math.inf
-            )
-            hits[down] = -1
-        up = feasible & (delta > tol)
+            steps[down] = np.maximum(gap, 0.0) / (-delta[down])
         if up.any():
             gap = ub[up] - state.xB[up]
-            steps[up] = np.where(
-                np.isfinite(gap), np.maximum(gap, 0.0) / delta[up], math.inf
-            )
-            hits[up] = 1
-        # Phase-1 extras: an infeasible basic blocks at the violated bound as
-        # soon as the step would carry it back into feasibility.
-        toward_lb = below & (delta > tol)
-        if toward_lb.any():
-            steps[toward_lb] = (lb[toward_lb] - state.xB[toward_lb]) / delta[toward_lb]
-            hits[toward_lb] = -1
-        toward_ub = above & (delta < -tol)
-        if toward_ub.any():
-            steps[toward_ub] = (state.xB[toward_ub] - ub[toward_ub]) / (
-                -delta[toward_ub]
-            )
-            hits[toward_ub] = 1
+            steps[up] = np.maximum(gap, 0.0) / delta[up]
+        if below is not None:
+            # Phase-1 extras: an infeasible basic blocks at the violated
+            # bound as soon as the step would carry it back into feasibility.
+            toward_lb = below & (delta > tol)
+            if toward_lb.any():
+                steps[toward_lb] = (
+                    lb[toward_lb] - state.xB[toward_lb]
+                ) / delta[toward_lb]
+            toward_ub = above & (delta < -tol)
+            if toward_ub.any():
+                steps[toward_ub] = (state.xB[toward_ub] - ub[toward_ub]) / (
+                    -delta[toward_ub]
+                )
 
-        best = steps.min() if m else math.inf
+        best = steps.min()
         if not math.isfinite(best):
             return -1, math.inf, 0
         ties = np.nonzero(steps <= best + tol)[0]
@@ -678,69 +734,68 @@ class RevisedSimplexSolver:
             row = int(min(ties, key=lambda i: state.basic[i]))
         else:
             row = int(ties[np.argmax(np.abs(delta[ties]))])
-        return row, float(max(steps[row], 0.0)), int(hits[row])
+        if below is not None and (below[row] or above[row]):
+            hit = -1 if below[row] else 1
+        else:
+            hit = -1 if delta[row] < 0 else 1
+        return row, float(max(steps[row], 0.0)), hit
 
     # -- dual simplex -------------------------------------------------------
 
-    def _dual(self, state: _State) -> Tuple[SolveStatus, int]:
-        """Dual simplex from a dual-feasible basis; used for warm starts."""
+    def _dual(self, state: _State, r: np.ndarray) -> Tuple[SolveStatus, int]:
+        """Dual simplex from a dual-feasible basis; used for warm starts.
+
+        ``r`` holds the reduced costs of the starting basis.
+        """
         prep = state.prep
         ftol = _FEASIBILITY_TOL
-        fixed = state.lo == state.hi
         degenerate_run = 0
         bland = False
 
         for iteration in range(_MAX_ITERATIONS):
-            lb = state.lo[state.basic]
-            ub = state.hi[state.basic]
-            viol_lo = np.where(np.isfinite(lb), lb - state.xB, -math.inf)
-            viol_hi = np.where(np.isfinite(ub), state.xB - ub, -math.inf)
-            worst_lo = float(viol_lo.max()) if viol_lo.size else -math.inf
-            worst_hi = float(viol_hi.max()) if viol_hi.size else -math.inf
+            # An infinite bound gives -inf here, never a violation.
+            viol_lo = state.lb - state.xB
+            viol_hi = state.xB - state.ub
+            row_lo = int(viol_lo.argmax())
+            row_hi = int(viol_hi.argmax())
+            worst_lo = float(viol_lo[row_lo])
+            worst_hi = float(viol_hi[row_hi])
             if max(worst_lo, worst_hi) <= ftol:
                 return SolveStatus.OPTIMAL, iteration
 
             leaving_low = worst_lo >= worst_hi
-            row = int(np.argmax(viol_lo if leaving_low else viol_hi))
+            row = row_lo if leaving_low else row_hi
 
-            r = self._reduced_costs(state)
+            if r is None:
+                r = self._reduced_costs(state)
             arow = state.binv[row] @ prep.A
-            if leaving_low:
-                # The leaving basic sits below its lower bound: pivots must
-                # increase it, so admissible nonbasics push xB[row] up.
-                adm = ((state.vstat == AT_LOWER) & (arow < -_PIVOT_TOL)) | (
-                    (state.vstat == AT_UPPER) & (arow > _PIVOT_TOL)
-                )
-            else:
-                adm = ((state.vstat == AT_LOWER) & (arow > _PIVOT_TOL)) | (
-                    (state.vstat == AT_UPPER) & (arow < -_PIVOT_TOL)
-                )
-            adm |= (state.vstat == FREE) & (np.abs(arow) > _PIVOT_TOL)
-            adm &= ~fixed
-            candidates = np.nonzero(adm)[0]
+            # The leaving basic sits below its lower bound (above its upper):
+            # admissible nonbasics push it up (down).
+            candidates = np.nonzero(
+                state.admissible(arow if leaving_low else -arow, _PIVOT_TOL)
+            )[0]
             if candidates.size == 0:
                 return SolveStatus.INFEASIBLE, iteration
 
-            ratios = np.abs(r[candidates]) / np.abs(arow[candidates])
             if bland:
                 col = int(candidates[0])
             else:
+                ratios = np.abs(r[candidates]) / np.abs(arow[candidates])
                 col = int(candidates[np.argmin(ratios)])
 
             alpha = state.binv @ prep.A[:, col]
             if abs(alpha[row]) < _PIVOT_TOL:
                 if not state.refactorize():
                     return SolveStatus.ERROR, iteration
+                r = None
                 continue
-            leaving = state.basic[row]
-            state.vstat[leaving] = AT_LOWER if leaving_low else AT_UPPER
-            state.basic[row] = col
-            state.vstat[col] = BASIC
-            if not self._eta_update(state, row, alpha):
+            leaving_status = AT_LOWER if leaving_low else AT_UPPER
+            if not state.pivot(row, col, leaving_status, alpha):
                 return SolveStatus.ERROR, iteration
             state.recompute_xb()
 
             dual_step = float(np.abs(r[col]) / max(abs(arow[col]), _PIVOT_TOL))
+            r = None
             if dual_step <= _DEGENERATE_STEP:
                 degenerate_run += 1
                 if degenerate_run > _BLAND_TRIGGER:

@@ -1,5 +1,7 @@
 """Solver backend tests: scipy/HiGHS vs the pure-Python simplex and B&B."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,3 +227,74 @@ class TestRawSolvers:
         assert result.nodes_explored >= 1
         assert result.x is not None
         assert float(result.x[0]) == pytest.approx(round(result.x[0]))
+
+
+def _small_integer_program(seed):
+    """A bounded pure-integer program small enough to enumerate: 2-4
+    variables, boxes of width 1-3, 2-4 random ``<=`` rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 5))
+    lower = rng.integers(-2, 2, size=n).astype(float)
+    upper = lower + rng.integers(1, 4, size=n)
+    c = np.round(rng.uniform(-5.0, 5.0, size=n), 1)
+    a_ub = np.round(rng.uniform(-3.0, 3.0, size=(m, n)), 1)
+    b_ub = np.round(rng.uniform(-1.0, 6.0, size=m), 1)
+    return c, a_ub, b_ub, lower, upper
+
+
+def _enumerated_optimum(c, a_ub, b_ub, lower, upper):
+    """Smallest ``c @ x`` over the feasible integer points, None if none."""
+    grid = np.array(
+        list(itertools.product(*[range(int(lo), int(hi) + 1)
+                                 for lo, hi in zip(lower, upper)])),
+        dtype=float,
+    )
+    feasible = grid[np.all(grid @ a_ub.T <= b_ub + 1e-9, axis=1)]
+    return float((feasible @ c).min()) if len(feasible) else None
+
+
+_ORACLE_SEEDS = range(300)
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_branch_and_bound_matches_enumeration(chunk):
+    # A scipy-free oracle for branch and bound, strong branching and its
+    # skip rule included.
+    for seed in _ORACLE_SEEDS[chunk::3]:
+        c, a_ub, b_ub, lower, upper = _small_integer_program(seed)
+        n = c.shape[0]
+        result = BranchAndBoundSolver().solve(
+            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper,
+            np.ones(n, dtype=bool),
+        )
+        optimum = _enumerated_optimum(c, a_ub, b_ub, lower, upper)
+        if optimum is None:
+            assert result.status is SolveStatus.INFEASIBLE, seed
+            continue
+        assert result.status is SolveStatus.OPTIMAL, seed
+        x = result.x
+        assert np.array_equal(x, np.round(x)), seed
+        assert np.all(lower <= x) and np.all(x <= upper), seed
+        assert np.all(a_ub @ x <= b_ub + 1e-9), seed
+        assert float(c @ x) == pytest.approx(result.objective, abs=1e-9), seed
+        # Nodes within the relative MIP gap of the incumbent are fathomed.
+        assert result.objective == pytest.approx(
+            optimum, abs=1e-6 * max(1.0, abs(optimum)) + 1e-9
+        ), seed
+
+
+def test_oracle_programs_make_strong_branching_compare_candidates():
+    # The skip rule only acts when a node scores two or more fractional
+    # candidates; make sure the oracle's programs have such roots.
+    several = 0
+    for seed in _ORACLE_SEEDS:
+        c, a_ub, b_ub, lower, upper = _small_integer_program(seed)
+        n = c.shape[0]
+        root = RevisedSimplexSolver(pricing="devex").solve(
+            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper
+        )
+        if root.x is not None:
+            fractional = np.abs(root.x - np.round(root.x)) > 1e-6
+            several += int(fractional.sum() >= 2)
+    assert several >= 20

@@ -1,5 +1,9 @@
 """Tests for the throughput constraints, MIN_CYC and MAX_THR programs."""
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.core.configuration import RRConfiguration, RetimingVector
@@ -136,3 +140,69 @@ class TestEarlyEvaluationAdvantage:
         early_outcome = max_throughput(early, tau=budget)
         late_outcome = max_throughput(late, tau=budget)
         assert early_outcome.throughput_bound > late_outcome.throughput_bound + 0.05
+
+
+# ---------------------------------------------------------------------------
+# The MILP decisions of the pure-backend Table 2 sweep, pinned.
+#
+# ``tests/golden/milp_sweep_decisions.json`` holds, for every MILP that the
+# Table 2 sweep over s27, s208, s420, s382 and s400 (scale 0.2, epsilon 0.05)
+# solves on the pure backend, its status, its objective and the rounded
+# integer part of its point, in call order.  A change to the revised simplex
+# or to branch and bound that is meant to leave every decision alone must
+# reproduce them.  Objectives are compared to 1e-9 relative: their last bits
+# depend on the BLAS build.  A deliberate change of the sweep's optima
+# re-records the file with ``python tests/test_milp.py``.
+
+_SWEEP_GOLDEN = Path(__file__).parent / "golden" / "milp_sweep_decisions.json"
+_SWEEP_NAMES = ["s27", "s208", "s420", "s382", "s400"]
+
+
+def _sweep_decisions():
+    from repro.experiments.table2 import run_table2
+    from repro.lp.branch_and_bound import BranchAndBoundSolver
+
+    decisions = []
+    solve = BranchAndBoundSolver.solve
+
+    def recording(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        mask = np.asarray(kwargs.get("integer_mask", args[7]), dtype=bool)
+        decisions.append({
+            "status": result.status.name,
+            "objective": result.objective,
+            "integers": (
+                None if result.x is None
+                else [int(v) for v in np.round(result.x[mask])]
+            ),
+        })
+        return result
+
+    BranchAndBoundSolver.solve = recording
+    try:
+        run_table2(
+            names=_SWEEP_NAMES, scale=0.2, epsilon=0.05, cycles=200, seed=2009,
+            settings=MilpSettings(backend="pure", time_limit=None), shards=1,
+        )
+    finally:
+        BranchAndBoundSolver.solve = solve
+    return decisions
+
+
+def test_pure_table2_sweep_milp_decisions_are_pinned():
+    expected = json.loads(_SWEEP_GOLDEN.read_text())
+    actual = _sweep_decisions()
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert got["status"] == want["status"], index
+        if want["objective"] is None:
+            assert got["objective"] is None, index
+        else:
+            assert got["objective"] == pytest.approx(
+                want["objective"], rel=1e-9, abs=1e-12
+            ), index
+        assert got["integers"] == want["integers"], index
+
+
+if __name__ == "__main__":
+    _SWEEP_GOLDEN.write_text(json.dumps(_sweep_decisions()) + "\n")
