@@ -337,42 +337,7 @@ def _search_vs_milp():
     }
 
 
-#: Minimum timed windows per side of the traced-vs-untraced warm service
-#: comparison, whatever ``--repeats`` says.  A window is ~50 ms and its rps
-#: varies by about 10 % on a 2-CPU host, so one window per side (the old
-#: ``--repeats 1`` smoke run) compared noise.
-WARM_PAIR_ROUNDS = 20
-
-
-def _fastest(run, repeats):
-    """Best of ``repeats`` timed calls of ``run``: (seconds, its result).
-
-    The result of the *fastest* call is kept, so every recorded field
-    describes the same run (the service_load entries derive rps and
-    percentiles from their own wall clock).
-    """
-    return _interleaved_best([run], repeats, lambda seconds, result: seconds)[0]
-
-
-def _interleaved_best(runs, repeats, key):
-    """Best of ``repeats`` timed calls of each run, the runs taking turns so
-    a slow stretch of the host hits every run alike; the best call has the
-    smallest ``key(seconds, result)``.  Returns (seconds, result) per run."""
-    best = [(math.inf, {}, math.inf) for _ in runs]
-    for _ in range(max(1, repeats)):
-        for index, run in enumerate(runs):
-            start = time.perf_counter()
-            candidate = run()
-            seconds = time.perf_counter() - start
-            score = key(seconds, candidate)
-            if score < best[index][2]:
-                best[index] = (seconds, candidate, score)
-    return [(seconds, result) for seconds, result, _ in best]
-
-
-def _workloads(repeats):
-    """Yield ``(name, run)``; ``run`` is a callable timed best-of-``repeats``
-    by the caller, or an already measured ``(seconds, result)`` pair."""
+def _workloads():
     fig1a = figure1a_rrg(0.9)
     fork_join = unbalanced_fork_join(alpha=0.8, long_branch_delay=6.0)
     yield "milp_pair_fig1a_pure", lambda: _milp_pair(fig1a, "pure")
@@ -433,25 +398,14 @@ def _workloads(repeats):
 
         yield "service_load_cold", _cold
         _service_load_run(service.port, seed_base=0, shared_seeds=True)
-        # The same warm window with and without a per-request trace ref:
-        # every span on the hot path gets recorded, so warm_traced/warm is
-        # the tracing tax.  The two sides take turns, at least
-        # WARM_PAIR_ROUNDS windows each, and each keeps its highest-rps
-        # window (the call's own seconds also count two /stats calls).
-        warm, warm_traced = _interleaved_best(
-            [
-                lambda: _service_load_run(
-                    service.port, seed_base=0, shared_seeds=True
-                ),
-                lambda: _service_load_run(
-                    service.port, seed_base=0, shared_seeds=True, traced=True
-                ),
-            ],
-            max(WARM_PAIR_ROUNDS, repeats),
-            lambda seconds, result: -result["rps"],
+        yield "service_load_warm", lambda: _service_load_run(
+            service.port, seed_base=0, shared_seeds=True
         )
-        yield "service_load_warm", warm
-        yield "service_load_warm_traced", warm_traced
+        # The same warm window with a per-request trace ref: every span on
+        # the hot path gets recorded, so warm_traced/warm is the tracing tax.
+        yield "service_load_warm_traced", lambda: _service_load_run(
+            service.port, seed_base=0, shared_seeds=True, traced=True
+        )
     finally:
         # The main loop finishes timing a workload before advancing the
         # generator, so the server outlives every timed repeat.
@@ -481,10 +435,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results = {}
-    for name, run in _workloads(args.repeats):
-        if callable(run):
-            run = _fastest(run, args.repeats)
-        elapsed, extra = run
+    for name, run in _workloads():
+        elapsed = math.inf
+        extra = {}
+        for _ in range(max(1, args.repeats)):
+            start = time.perf_counter()
+            candidate = run()
+            seconds = time.perf_counter() - start
+            # Keep the extras of the *fastest* repeat so every recorded
+            # field describes the same run (the service_load entries derive
+            # rps/percentiles from their own wall clock).
+            if seconds < elapsed:
+                elapsed = seconds
+                extra = candidate
         results[name] = {"seconds": round(elapsed, 4), **extra}
         speedup = ""
         if name in SEED_BASELINE:
@@ -511,10 +474,9 @@ def main(argv=None) -> int:
               "vs untraced warm")
         if cpus >= 2:
             # Tracing is bookkeeping, not work: a traced warm request must
-            # stay within 5% of the untraced rps.  The best of at least
-            # WARM_PAIR_ROUNDS interleaved windows on both sides damps the
-            # scheduler noise of one window; single-core hosts are too
-            # jittery for a percent-level assertion.
+            # stay within 5% of the untraced rps.  Best-of-repeats on both
+            # sides keeps the comparison off scheduler noise; single-core
+            # hosts are too jittery for a percent-level assertion.
             assert traced_rps >= 0.95 * warm_rps, (
                 f"tracing overhead {overhead:.1%} on the warm service path "
                 f"(expected < 5%)"

@@ -41,10 +41,10 @@ leaving and the entering column of a pivot) sets its own entries:
   ``|value| > tol`` test, made only when a FREE column exists;
 * the bounds of each row's basic column, for the ratio tests.
 
-When most pivot-column entries are zero, the eta update of the inverse
-touches only the rows whose entry is nonzero.  All of these do the same
-floating-point operations on the same operands as the direct formulas, so
-pivots, iteration counts and results do not change.
+The eta update of the inverse touches only the rows whose pivot-column
+entry is nonzero.  All of these do the same floating-point operations on
+the same operands as the direct formulas, so pivots, iteration counts and
+results do not change.
 """
 
 from __future__ import annotations
@@ -297,13 +297,10 @@ class _State:
         self.ub[row] = self.hi[col]
         binv = self.binv
         br = binv[row] / alpha[row]
+        # Only the rows with alpha[i] != 0 change (the others would differ
+        # at most in the sign of a zero).
         rows = alpha.nonzero()[0]
-        if 2 * rows.size < alpha.size:
-            # Sparse pivot column: gather and scatter only the rows that
-            # change (the others differ at most in the sign of a zero).
-            binv[rows] -= alpha[rows, None] * br
-        else:
-            binv -= alpha[:, None] * br
+        binv[rows] -= alpha[rows, None] * br
         binv[row] = br
         self.age += 1
         if self.age >= _REFACTOR_EVERY:

@@ -1,6 +1,7 @@
 """Solver backend tests: scipy/HiGHS vs the pure-Python simplex and B&B."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -284,17 +285,49 @@ def test_branch_and_bound_matches_enumeration(chunk):
         ), seed
 
 
-def test_oracle_programs_make_strong_branching_compare_candidates():
-    # The skip rule only acts when a node scores two or more fractional
-    # candidates; make sure the oracle's programs have such roots.
-    several = 0
+def test_oracle_programs_skip_strong_branching_children(monkeypatch):
+    # The oracle above covers the skip rule only if some of its programs
+    # skip a child.  Record each node's candidates and the child LPs solved
+    # after them; a candidate whose down child was solved without its up
+    # child was skipped.
+    events = []
+    candidates_of = BranchAndBoundSolver._fractional_candidates
+    solve_prepared = RevisedSimplexSolver.solve_prepared
+
+    def candidates(x, integer_mask):
+        found = candidates_of(x, integer_mask)
+        events.append(found)
+        return found
+
+    def relax(self, prep, lower, upper, basis=None):
+        events.append((lower.copy(), upper.copy()))
+        return solve_prepared(self, prep, lower, upper, basis=basis)
+
+    monkeypatch.setattr(
+        BranchAndBoundSolver, "_fractional_candidates", staticmethod(candidates)
+    )
+    monkeypatch.setattr(RevisedSimplexSolver, "solve_prepared", relax)
+    skipping = 0
     for seed in _ORACLE_SEEDS:
         c, a_ub, b_ub, lower, upper = _small_integer_program(seed)
         n = c.shape[0]
-        root = RevisedSimplexSolver(pricing="devex").solve(
-            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper
+        events.clear()
+        BranchAndBoundSolver().solve(
+            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper,
+            np.ones(n, dtype=bool),
         )
-        if root.x is not None:
-            fractional = np.abs(root.x - np.round(root.x)) > 1e-6
-            several += int(fractional.sum() >= 2)
-    assert several >= 20
+        skipped = 0
+        found, down, up = [], set(), set()
+        for event in events + [[]]:
+            if isinstance(event, list):
+                skipped += len(down - up)
+                found, down, up = event, set(), set()
+                continue
+            child_lower, child_upper = event
+            for index, value in found:
+                if child_upper[index] == math.floor(value):
+                    down.add(index)
+                elif child_lower[index] == math.floor(value) + 1:
+                    up.add(index)
+        skipping += int(skipped > 0)
+    assert skipping >= 10

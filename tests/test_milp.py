@@ -1,5 +1,6 @@
 """Tests for the throughput constraints, MIN_CYC and MAX_THR programs."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -151,8 +152,11 @@ class TestEarlyEvaluationAdvantage:
 # integer part of its point, in call order.  A change to the revised simplex
 # or to branch and bound that is meant to leave every decision alone must
 # reproduce them.  Objectives are compared to 1e-9 relative: their last bits
-# depend on the BLAS build.  A deliberate change of the sweep's optima
-# re-records the file with ``python tests/test_milp.py``.
+# depend on the BLAS build.  The integer points are compared exactly, so
+# they assume a BLAS whose round-off breaks the pivot ties as the recording
+# one did: where a MILP has tied optima, another build may return a
+# different optimal point with the same objective.  A deliberate change of
+# the sweep's optima re-records the file with ``python tests/test_milp.py``.
 
 _SWEEP_GOLDEN = Path(__file__).parent / "golden" / "milp_sweep_decisions.json"
 _SWEEP_NAMES = ["s27", "s208", "s420", "s382", "s400"]
@@ -164,10 +168,12 @@ def _sweep_decisions():
 
     decisions = []
     solve = BranchAndBoundSolver.solve
+    signature = inspect.signature(solve)
 
     def recording(self, *args, **kwargs):
         result = solve(self, *args, **kwargs)
-        mask = np.asarray(kwargs.get("integer_mask", args[7]), dtype=bool)
+        call = signature.bind(self, *args, **kwargs)
+        mask = np.asarray(call.arguments["integer_mask"], dtype=bool)
         decisions.append({
             "status": result.status.name,
             "objective": result.objective,
