@@ -45,13 +45,32 @@ The eta update of the inverse touches only the rows whose pivot-column
 entry is nonzero.  All of these do the same floating-point operations on
 the same operands as the direct formulas, so pivots, iteration counts and
 results do not change.
+
+Two features serve strong branching, whose children all start from one
+parent basis and mostly need only a bound on their optimum:
+
+* **Shared start.**  The :class:`BasisState` of a finished solve carries that
+  solve's final reduced costs and derived vectors.  A warm start from it
+  copies them and patches the columns whose bounds changed instead of
+  re-deriving everything, and the fresh basic values of a start whose
+  nonbasic values did not change are computed once per token.  Reduced
+  costs depend only on the basis and its inverse, which the child inherits,
+  so they are the same numbers a fresh computation gives.
+* **Pause and resume.**  Given ``stop_above=t``, a warm dual-simplex solve
+  stops as soon as the dual objective ``c @ z`` of its current basis exceeds
+  ``t`` by ``1e-9 * max(1, |t|)`` (see :func:`exceeds`), and hands
+  back a :class:`PausedSolve`.  The dual objective never decreases along
+  dual-simplex pivots and ends at the optimum, so it bounds the optimum from
+  below; the margin absorbs its round-off.  Passing the token back as
+  ``basis`` continues the very same pivots, so a solve split into pieces
+  ends with the result of the one-shot solve, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +93,21 @@ _TOLERANCE = 1e-9
 _FEASIBILITY_TOL = 1e-7
 #: Eta updates between basis refactorisations, bounding numerical drift.
 _REFACTOR_EVERY = 100
+#: Relative margin by which a paused solve's bound must exceed a threshold
+#: before it counts as above it.  The largest excess of a bound over its
+#: finished objective seen on the Table 2 sweep is 3.6e-16 relative.
+_PAUSE_MARGIN = 1e-9
+
+
+def exceeds(bound: float, threshold: float) -> bool:
+    """Whether a dual-objective ``bound`` proves the optimum above
+    ``threshold``: it must exceed it by :data:`_PAUSE_MARGIN` relative.
+
+    Every comparison of a paused solve's bound with a value goes through
+    here; without the margin a bound that overshoots by round-off would
+    order two children that a finished solve orders the other way.
+    """
+    return bound >= threshold + _PAUSE_MARGIN * max(1.0, abs(threshold))
 
 
 @dataclass
@@ -111,14 +145,25 @@ class BasisState:
         age: Rank-1 (eta) updates applied to ``binv`` since it was last
             factorised from scratch; warm starts refactorise when this
             reaches the refactorisation period.
+        start: The finished solve's reduced costs and derived vectors, which
+            warm starts from this token share (see the module docstring);
+            ``None`` for a token built by hand.
+
+    A token is read, never written, by the solves it warm-starts; it must not
+    be modified once used, since it caches its compatibility verdict.
     """
 
     basic: np.ndarray
     vstat: np.ndarray
     binv: Optional[np.ndarray] = None
     age: int = 0
+    start: Optional["_Start"] = field(default=None, repr=False, compare=False)
+    _fits: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def copy(self) -> "BasisState":
+        """An independent token of the same basis, without the shared start."""
         return BasisState(
             self.basic.copy(),
             self.vstat.copy(),
@@ -129,18 +174,80 @@ class BasisState:
     def compatible_with(self, m: int, total: int) -> bool:
         """Whether this basis fits an LP with ``m`` rows and ``total`` columns.
 
-        Beyond the shapes, the two views must agree: exactly the columns
-        listed in ``basic`` are marked BASIC.  An inconsistent token would
-        otherwise be installed and silently shift the nonbasic frame,
-        producing a wrong "optimal" point.
+        Beyond the shapes, every status must be one of the four codes and
+        the two views must agree: exactly the columns listed in ``basic`` are
+        marked BASIC.  An inconsistent token would otherwise be installed and
+        silently shift the nonbasic frame, producing a wrong "optimal" point.
+        The verdict is computed once per token and shape.
         """
+        if self._fits is None or self._fits[0] != (m, total):
+            self._fits = ((m, total), self._check(m, total))
+        return self._fits[1]
+
+    def _check(self, m: int, total: int) -> bool:
         if self.basic.shape != (m,) or self.vstat.shape != (total,):
             return False
         if m and (self.basic.min() < 0 or self.basic.max() >= total):
             return False
+        if total and (self.vstat.min() < BASIC or self.vstat.max() > FREE):
+            return False
         if np.count_nonzero(self.vstat == BASIC) != m:
             return False
         return bool((self.vstat[self.basic] == BASIC).all())
+
+
+class _Start:
+    """What warm starts from one finished solve's basis have in common.
+
+    The final bounds, derived vectors and reduced costs of that solve (its
+    last arrays, shared: the solve is over and a warm start copies what it
+    modifies), plus what the first warm start that keeps every nonbasic
+    status and value computes and the later ones reuse: the fresh basic
+    values ``B^-1 (b - A nb)`` and the dual-feasibility verdict.
+    """
+
+    __slots__ = (
+        "prep", "b", "lo", "hi", "nb", "sign", "free", "r", "xB", "dual_ok"
+    )
+
+    def __init__(self, state: "_State") -> None:
+        self.prep = state.prep
+        self.b = state.prep.b
+        self.lo = state.lo
+        self.hi = state.hi
+        self.nb = state.nb
+        self.sign = state.sign
+        self.free = state.free if state.free is not None and state.free.any() else None
+        self.r = state.r
+        self.xB = None
+        self.dual_ok = None
+
+
+class PausedSolve:
+    """A warm dual-simplex solve stopped by its ``stop_above`` threshold.
+
+    Attributes:
+        bound: Dual objective ``c @ z`` of the basis it stopped at, a lower
+            bound on the optimum up to round-off (compare it through
+            :func:`exceeds`).
+        iterations: Pivots made by the call that returned this token.
+
+    Pass it back as ``basis`` to :meth:`RevisedSimplexSolver.solve_prepared`
+    to continue the same pivots; a token resumes once.
+    """
+
+    __slots__ = ("bound", "iterations", "_state")
+
+    def __init__(self, state: "_State", bound: float, iterations: int) -> None:
+        self.bound = bound
+        self.iterations = iterations
+        self._state = state
+
+    def _take(self) -> "_State":
+        state, self._state = self._state, None
+        if state is None:
+            raise ValueError("this paused solve was already resumed")
+        return state
 
 
 class PreparedLP:
@@ -211,7 +318,14 @@ class _State:
     * ``sign``, +1 at a lower bound, -1 at an upper bound, 0 for basic, FREE
       and fixed (``lo == hi``) columns;
     * ``free``, the nonfixed FREE columns, or None when there are none;
-    * ``lb`` and ``ub``, the bounds of each row's basic column.
+    * ``lb`` and ``ub``, the bounds of each row's basic column;
+    * ``r``, the reduced costs of the current basis, or None until
+      :meth:`reduced_costs` computes them; a basis change clears them;
+    * ``shared``, the :class:`_Start` this start was installed from when it
+      kept all of that start's nonbasic statuses and values, else None.
+
+    The dual loop's anti-cycling counters and its iteration count live here
+    too, so that a paused solve resumes them.
     """
 
     __slots__ = (
@@ -227,8 +341,14 @@ class _State:
         "ub",
         "binv",
         "xB",
+        "r",
+        "shared",
         "age",
         "devex",
+        "dual_iterations",
+        "degenerate_run",
+        "bland",
+        "bound",
     )
 
     def __init__(self, prep: PreparedLP, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -244,8 +364,14 @@ class _State:
         self.ub = None
         self.binv = None
         self.xB = None
+        self.r = None
+        self.shared = None
         self.age = 0
         self.devex = np.ones(prep.total)
+        self.dual_iterations = 0
+        self.degenerate_run = 0
+        self.bland = False
+        self.bound = None
 
     def derive(self) -> None:
         """Build the derived vectors from ``basic`` and ``vstat``."""
@@ -295,27 +421,42 @@ class _State:
         self.move(col, BASIC)
         self.lb[row] = self.lo[col]
         self.ub[row] = self.hi[col]
+        self.r = None
         binv = self.binv
         br = binv[row] / alpha[row]
         # Only the rows with alpha[i] != 0 change (the others would differ
         # at most in the sign of a zero).
         rows = alpha.nonzero()[0]
-        binv[rows] -= alpha[rows, None] * br
+        binv[rows] = binv.take(rows, axis=0) - alpha.take(rows)[:, None] * br
         binv[row] = br
         self.age += 1
         if self.age >= _REFACTOR_EVERY:
             return self.refactorize()
         return True
 
-    def admissible(self, values: np.ndarray, tol: float) -> np.ndarray:
+    def admissible(
+        self, values: np.ndarray, tol: float, negated: bool = False
+    ) -> np.ndarray:
         """Nonbasic columns that may enter, given per-column rates ``values``:
         at a lower bound with ``values < -tol``, at an upper bound with
         ``values > tol`` (together ``sign * values < -tol``), and FREE with
-        ``|values| > tol``."""
-        mask = self.sign * values < -tol
+        ``|values| > tol``.  ``negated`` tests the rates ``-values`` without
+        forming them: ``sign * values > tol``."""
+        if negated:
+            mask = self.sign * values > tol
+        else:
+            mask = self.sign * values < -tol
         if self.free is not None:
             mask |= self.free & (np.abs(values) > tol)
         return mask
+
+    def reduced_costs(self) -> np.ndarray:
+        """``c - (c_B B^-1) A`` for the current basis, computed once per basis."""
+        if self.r is None:
+            prep = self.prep
+            y = prep.c_ext[self.basic] @ self.binv
+            self.r = prep.c_ext - y @ prep.A
+        return self.r
 
     def recompute_xb(self) -> None:
         self.xB = self.binv @ (self.prep.b - self.prep.A @ self.nb)
@@ -327,6 +468,7 @@ class _State:
         except np.linalg.LinAlgError:
             return False
         self.age = 0
+        self.r = None
         self.recompute_xb()
         return True
 
@@ -373,43 +515,61 @@ class RevisedSimplexSolver:
         prep: PreparedLP,
         lower: np.ndarray,
         upper: np.ndarray,
-        basis: Optional[BasisState] = None,
-    ) -> SimplexResult:
+        basis: Optional[Union[BasisState, PausedSolve]] = None,
+        stop_above: Optional[float] = None,
+    ) -> Union[SimplexResult, PausedSolve]:
         """Solve a :class:`PreparedLP` under the given bounds.
 
         When ``basis`` is compatible the solve warm-starts from it: a primal
         feasible basis goes straight to phase 2, a dual feasible one through
         the dual simplex; otherwise the composite phase 1 repairs it.
+
+        With ``stop_above`` a dual-simplex solve may stop early and return a
+        :class:`PausedSolve` instead of a result (see the module docstring);
+        the other paths ignore it.  A :class:`PausedSolve` passed as
+        ``basis`` resumes that solve under its own bounds (``lower`` and
+        ``upper`` are not read), with a new ``stop_above``.
         """
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if prep.n == 0:
-            return SimplexResult(SolveStatus.OPTIMAL, np.zeros(0), 0.0, 0)
-        if np.any(lower > upper + _FEASIBILITY_TOL):
-            return SimplexResult(SolveStatus.INFEASIBLE, None, None, 0)
-        if prep.m == 0:
-            return self._solve_box_only(prep, lower, upper)
+        if isinstance(basis, PausedSolve):
+            state = basis._take()
+            prep, lo, hi = state.prep, state.lo, state.hi
+            warm = True
+            result = self._run_dual(state, stop_above)
+        else:
+            lower = np.asarray(lower, dtype=float)
+            upper = np.asarray(upper, dtype=float)
+            if prep.n == 0:
+                return SimplexResult(SolveStatus.OPTIMAL, np.zeros(0), 0.0, 0)
+            if np.any(lower > upper + _FEASIBILITY_TOL):
+                return SimplexResult(SolveStatus.INFEASIBLE, None, None, 0)
+            if prep.m == 0:
+                return self._solve_box_only(prep, lower, upper)
 
-        lo, hi = prep.full_bounds(lower, upper)
-        state = _State(prep, lo, hi)
+            lo, hi = prep.full_bounds(lower, upper)
+            state = _State(prep, lo, hi)
 
-        # Anything that is not a compatible BasisState (stale token from a
-        # different model, arbitrary caller garbage) silently cold-starts.
-        warm = isinstance(basis, BasisState) and basis.compatible_with(
-            prep.m, prep.total
-        )
-        if warm:
-            warm = self._install_basis(state, basis)
-        if not warm:
-            self._cold_basis(state)
+            # Anything that is not a compatible BasisState (stale token from
+            # a different model, arbitrary caller garbage) silently
+            # cold-starts.
+            warm = isinstance(basis, BasisState) and basis.compatible_with(
+                prep.m, prep.total
+            )
+            if warm:
+                warm = self._install_basis(state, basis)
+            if not warm:
+                self._cold_basis(state)
+            result = self._run(state, warm, stop_above)
 
-        result = self._run(state, warm=warm)
-        if result.status is SolveStatus.ERROR and warm:
+        if (
+            warm
+            and isinstance(result, SimplexResult)
+            and result.status is SolveStatus.ERROR
+        ):
             # A stale or numerically hostile warm basis should never make the
             # solve fail outright; retry cold.
             state = _State(prep, lo, hi)
             self._cold_basis(state)
-            retry = self._run(state, warm=False)
+            retry = self._run(state, False)
             retry.iterations += result.iterations
             return retry
         return result
@@ -455,22 +615,19 @@ class RevisedSimplexSolver:
     def _install_basis(self, state: _State, basis: BasisState) -> bool:
         state.basic[:] = basis.basic
         state.vstat[:] = basis.vstat
-        # Sanitise statuses against the *current* bounds: a variable can only
-        # rest at a bound that exists.
-        finite_lo = np.isfinite(state.lo)
-        finite_hi = np.isfinite(state.hi)
-        stray = (state.vstat == AT_LOWER) & ~finite_lo
-        if stray.any():
-            state.vstat[stray] = np.where(finite_hi[stray], AT_UPPER, FREE)
-        stray = (state.vstat == AT_UPPER) & ~finite_hi
-        if stray.any():
-            state.vstat[stray] = np.where(finite_lo[stray], AT_LOWER, FREE)
-        state.derive()
-        if (
+        inherit = (
             basis.binv is not None
             and basis.binv.shape == (state.prep.m, state.prep.m)
             and basis.age < _REFACTOR_EVERY
-        ):
+        )
+        if inherit and basis.start is not None and basis.start.prep is state.prep:
+            if self._share_start(state, basis):
+                return True
+        # Sanitise statuses against the *current* bounds: a variable can only
+        # rest at a bound that exists.
+        _rest_on_finite_bounds(state.vstat, state.lo, state.hi)
+        state.derive()
+        if inherit:
             # Inherit the factorised inverse from the parent solve instead of
             # paying an O(m^3) inversion per warm start.  Copied: sibling
             # nodes warm-start from the same parent basis.
@@ -480,30 +637,81 @@ class RevisedSimplexSolver:
             return True
         return state.refactorize()
 
+    def _share_start(self, state: _State, basis: BasisState) -> bool:
+        """Install ``basis`` from its solve's shared start, patching the
+        columns whose bounds differ; False (nothing derived) when one of
+        them becomes FREE, which the full derivation handles."""
+        start = basis.start
+        changed = np.flatnonzero((state.lo != start.lo) | (state.hi != start.hi))
+        # The parent's vectors equal a fresh derivation under its own
+        # bounds, so only the changed columns can differ; for a basic one
+        # just its row's bounds do.
+        moved = changed[state.vstat[changed] != BASIC]
+        state.nb = start.nb.copy()
+        state.sign = start.sign.copy()
+        if moved.size:
+            codes = state.vstat[moved]
+            lo = state.lo[moved]
+            hi = state.hi[moved]
+            _rest_on_finite_bounds(codes, lo, hi)
+            if (codes == FREE).any():
+                return False
+            state.vstat[moved] = codes
+            at_lower = codes == AT_LOWER
+            state.nb[moved] = np.where(at_lower, lo, hi)
+            state.sign[moved] = np.where(lo == hi, 0.0, np.where(at_lower, 1.0, -1.0))
+        state.free = None if start.free is None else start.free.copy()
+        state.lb = state.lo[state.basic]
+        state.ub = state.hi[state.basic]
+        state.binv = basis.binv.copy()
+        state.age = basis.age
+        state.r = start.r
+        if moved.size or start.b is not state.prep.b:
+            state.recompute_xb()
+            return True
+        # Same nonbasic values and statuses as the parent: the start's basic
+        # values and dual-feasibility verdict are this start's too.
+        state.shared = start
+        if start.xB is None:
+            state.recompute_xb()
+            start.xB = state.xB
+        state.xB = start.xB.copy()
+        return True
+
     # -- main driver --------------------------------------------------------
 
-    def _run(self, state: _State, warm: bool) -> SimplexResult:
-        prep = state.prep
-
+    def _run(
+        self, state: _State, warm: bool, stop_above: Optional[float] = None
+    ) -> Union[SimplexResult, PausedSolve]:
         if not warm:
             status, iterations = self._phase1_then_2(state)
         elif self._primal_infeasibility(state) <= _FEASIBILITY_TOL:
             status, iterations = self._primal(state, phase1=False)
+        elif self._dual_feasible(state):
+            return self._run_dual(state, stop_above)
         else:
-            r = self._reduced_costs(state)
-            if self._dual_feasible(state, r):
-                status, iterations = self._dual(state, r)
-                if status is SolveStatus.OPTIMAL:
-                    # Dual simplex stops at primal feasibility; polish with a
-                    # (usually zero-iteration) primal pass for safety.
-                    status, iters = self._primal(state, phase1=False)
-                    iterations += iters
-            else:
-                status, iterations = self._phase1_then_2(state)
+            status, iterations = self._phase1_then_2(state)
+        return self._result(state, status, iterations)
 
+    def _run_dual(
+        self, state: _State, stop_above: Optional[float]
+    ) -> Union[SimplexResult, PausedSolve]:
+        status, iterations = self._dual(state, stop_above)
+        if status is None:
+            return PausedSolve(state, state.bound, iterations)
+        if status is SolveStatus.OPTIMAL:
+            # Dual simplex stops at primal feasibility; polish with a
+            # (usually zero-iteration) primal pass for safety.
+            status, iters = self._primal(state, phase1=False)
+            iterations += iters
+        return self._result(state, status, iterations)
+
+    def _result(
+        self, state: _State, status: SolveStatus, iterations: int
+    ) -> SimplexResult:
         if status is not SolveStatus.OPTIMAL:
             return SimplexResult(status, None, None, iterations)
-
+        prep = state.prep
         point = state.point()
         x = point[: prep.n]
         objective = float(prep.c_ext[: prep.n] @ x)
@@ -513,7 +721,9 @@ class RevisedSimplexSolver:
             x,
             objective,
             iterations,
-            BasisState(state.basic, state.vstat, state.binv, state.age),
+            BasisState(
+                state.basic, state.vstat, state.binv, state.age, _Start(state)
+            ),
         )
 
     def _phase1_then_2(self, state: _State) -> Tuple[SolveStatus, int]:
@@ -537,16 +747,19 @@ class RevisedSimplexSolver:
         above[~np.isfinite(above)] = 0.0
         return float(below.sum() + above.sum())
 
-    def _reduced_costs(self, state: _State) -> np.ndarray:
-        y = state.prep.c_ext[state.basic] @ state.binv
-        return state.prep.c_ext - y @ state.prep.A
-
-    def _dual_feasible(self, state: _State, r: np.ndarray) -> bool:
+    def _dual_feasible(self, state: _State) -> bool:
+        shared = state.shared
+        if shared is not None and shared.dual_ok is not None:
+            return shared.dual_ok
+        r = state.reduced_costs()
         tol = max(_TOLERANCE, 1e-7)
         bad_lo = (state.vstat == AT_LOWER) & (r < -tol)
         bad_hi = (state.vstat == AT_UPPER) & (r > tol)
         bad_free = (state.vstat == FREE) & (np.abs(r) > tol)
-        return not bool(np.any(bad_lo | bad_hi | bad_free))
+        verdict = not bool(np.any(bad_lo | bad_hi | bad_free))
+        if shared is not None:
+            shared.dual_ok = verdict
+        return verdict
 
     def _pick_entering(
         self,
@@ -608,7 +821,8 @@ class RevisedSimplexSolver:
                 y = d @ state.binv
                 r = -(y @ prep.A)
             else:
-                r = self._reduced_costs(state)
+                # Unchanged by a bound flip, so computed once per basis.
+                r = state.reduced_costs()
 
             col, direction = self._pick_entering(state, r, bland)
             if col < 0:
@@ -739,17 +953,25 @@ class RevisedSimplexSolver:
 
     # -- dual simplex -------------------------------------------------------
 
-    def _dual(self, state: _State, r: np.ndarray) -> Tuple[SolveStatus, int]:
+    def _dual(
+        self, state: _State, stop_above: Optional[float] = None
+    ) -> Tuple[Optional[SolveStatus], int]:
         """Dual simplex from a dual-feasible basis; used for warm starts.
 
-        ``r`` holds the reduced costs of the starting basis.
+        Returns the status and the iterations of this call.  With
+        ``stop_above`` it returns status None, leaving the dual objective in
+        ``state.bound``, as soon as that exceeds the threshold (checked
+        before each pivot); calling it again on the same state continues.
         """
         prep = state.prep
+        A = prep.A
+        c = prep.c_ext
         ftol = _FEASIBILITY_TOL
-        degenerate_run = 0
-        bland = False
+        first = state.dual_iterations
+        degenerate_run = state.degenerate_run
+        bland = state.bland
 
-        for iteration in range(_MAX_ITERATIONS):
+        for iteration in range(first, _MAX_ITERATIONS):
             # An infinite bound gives -inf here, never a violation.
             viol_lo = state.lb - state.xB
             viol_hi = state.xB - state.ub
@@ -758,41 +980,50 @@ class RevisedSimplexSolver:
             worst_lo = float(viol_lo[row_lo])
             worst_hi = float(viol_hi[row_hi])
             if max(worst_lo, worst_hi) <= ftol:
-                return SolveStatus.OPTIMAL, iteration
+                return SolveStatus.OPTIMAL, iteration - first
+            if stop_above is not None:
+                bound = float(c[state.basic] @ state.xB + c @ state.nb)
+                if exceeds(bound, stop_above):
+                    state.bound = bound
+                    state.dual_iterations = iteration
+                    state.degenerate_run = degenerate_run
+                    state.bland = bland
+                    return None, iteration - first
 
             leaving_low = worst_lo >= worst_hi
             row = row_lo if leaving_low else row_hi
 
-            if r is None:
-                r = self._reduced_costs(state)
-            arow = state.binv[row] @ prep.A
+            r = state.reduced_costs()
+            arow = state.binv[row] @ A
             # The leaving basic sits below its lower bound (above its upper):
-            # admissible nonbasics push it up (down).
+            # admissible nonbasics push it up (down), so the rates are arow
+            # (-arow).
             candidates = np.nonzero(
-                state.admissible(arow if leaving_low else -arow, _PIVOT_TOL)
+                state.admissible(arow, _PIVOT_TOL, negated=not leaving_low)
             )[0]
             if candidates.size == 0:
-                return SolveStatus.INFEASIBLE, iteration
+                return SolveStatus.INFEASIBLE, iteration - first
 
             if bland:
                 col = int(candidates[0])
             else:
-                ratios = np.abs(r[candidates]) / np.abs(arow[candidates])
+                # |r / a| is |r| / |a| exactly: rounding is sign-symmetric.
+                ratios = np.abs(r.take(candidates) / arow.take(candidates))
                 col = int(candidates[np.argmin(ratios)])
 
-            alpha = state.binv @ prep.A[:, col]
-            if abs(alpha[row]) < _PIVOT_TOL:
+            alpha = state.binv @ A[:, col]
+            if abs(float(alpha[row])) < _PIVOT_TOL:
                 if not state.refactorize():
-                    return SolveStatus.ERROR, iteration
-                r = None
+                    return SolveStatus.ERROR, iteration - first
                 continue
             leaving_status = AT_LOWER if leaving_low else AT_UPPER
+            r_col = float(r[col])
+            a_col = float(arow[col])
             if not state.pivot(row, col, leaving_status, alpha):
-                return SolveStatus.ERROR, iteration
+                return SolveStatus.ERROR, iteration - first
             state.recompute_xb()
 
-            dual_step = float(np.abs(r[col]) / max(abs(arow[col]), _PIVOT_TOL))
-            r = None
+            dual_step = abs(r_col) / max(abs(a_col), _PIVOT_TOL)
             if dual_step <= _DEGENERATE_STEP:
                 degenerate_run += 1
                 if degenerate_run > _BLAND_TRIGGER:
@@ -800,4 +1031,17 @@ class RevisedSimplexSolver:
             else:
                 degenerate_run = 0
                 bland = False
-        return SolveStatus.ERROR, _MAX_ITERATIONS
+        return SolveStatus.ERROR, _MAX_ITERATIONS - first
+
+
+def _rest_on_finite_bounds(vstat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Move statuses in place off bounds that do not exist: a column can only
+    rest at a finite bound, and with none it is FREE."""
+    finite_lo = np.isfinite(lo)
+    finite_hi = np.isfinite(hi)
+    stray = (vstat == AT_LOWER) & ~finite_lo
+    if stray.any():
+        vstat[stray] = np.where(finite_hi[stray], AT_UPPER, FREE)
+    stray = (vstat == AT_UPPER) & ~finite_hi
+    if stray.any():
+        vstat[stray] = np.where(finite_lo[stray], AT_LOWER, FREE)

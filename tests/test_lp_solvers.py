@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp import Model, SolveStatus
-from repro.lp.branch_and_bound import BranchAndBoundSolver
-from repro.lp.revised_simplex import RevisedSimplexSolver
+from repro.lp.branch_and_bound import _STRONG_BRANCHING, BranchAndBoundSolver
+from repro.lp.revised_simplex import (
+    BasisState,
+    PausedSolve,
+    PreparedLP,
+    RevisedSimplexSolver,
+)
 
 BACKENDS = ("scipy", "pure")
 
@@ -230,6 +235,28 @@ class TestRawSolvers:
         assert float(result.x[0]) == pytest.approx(round(result.x[0]))
 
 
+def test_warm_start_token_with_an_unknown_status_code_cold_starts():
+    # A nonbasic status outside BASIC / AT_LOWER / AT_UPPER / FREE used to
+    # be installed and give a wrong OPTIMAL; such a token must cold-start.
+    solver = RevisedSimplexSolver()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-5.0, 5.0, 6)
+        a_ub = rng.uniform(-3.0, 3.0, (4, 6))
+        b_ub = rng.uniform(1.0, 8.0, 4)
+        lower = np.zeros(6)
+        upper = rng.integers(1, 6, 6).astype(float)
+        prep = PreparedLP(c, a_ub, b_ub, np.zeros((0, 6)), np.zeros(0))
+        cold = solver.solve_prepared(prep, lower, upper)
+        assert cold.status is SolveStatus.OPTIMAL, seed
+        token = cold.basis.copy()
+        token.vstat[np.flatnonzero(token.vstat != 0)[0]] = 7
+        assert not token.compatible_with(prep.m, prep.total), seed
+        warm = solver.solve_prepared(prep, lower, upper, basis=token)
+        assert warm.status is SolveStatus.OPTIMAL, seed
+        assert repr(warm.objective) == repr(cold.objective), seed
+
+
 def _small_integer_program(seed):
     """A bounded pure-integer program small enough to enumerate: 2-4
     variables, boxes of width 1-3, 2-4 random ``<=`` rows."""
@@ -286,10 +313,11 @@ def test_branch_and_bound_matches_enumeration(chunk):
 
 
 def test_oracle_programs_skip_strong_branching_children(monkeypatch):
-    # The oracle above covers the skip rule only if some of its programs
-    # skip a child.  Record each node's candidates and the child LPs solved
-    # after them; a candidate whose down child was solved without its up
-    # child was skipped.
+    # The oracle above covers the lazy strong branching only if some of its
+    # programs never start a child.  Record each node's candidates and the
+    # child LPs started after them (a resumed solve passes its paused token
+    # as ``basis`` and is not a start); a candidate with one child started
+    # and the other never was skipped.
     events = []
     candidates_of = BranchAndBoundSolver._fractional_candidates
     solve_prepared = RevisedSimplexSolver.solve_prepared
@@ -299,9 +327,12 @@ def test_oracle_programs_skip_strong_branching_children(monkeypatch):
         events.append(found)
         return found
 
-    def relax(self, prep, lower, upper, basis=None):
-        events.append((lower.copy(), upper.copy()))
-        return solve_prepared(self, prep, lower, upper, basis=basis)
+    def relax(self, prep, lower, upper, basis=None, stop_above=None):
+        if not isinstance(basis, PausedSolve):
+            events.append((lower.copy(), upper.copy()))
+        return solve_prepared(
+            self, prep, lower, upper, basis=basis, stop_above=stop_above
+        )
 
     monkeypatch.setattr(
         BranchAndBoundSolver, "_fractional_candidates", staticmethod(candidates)
@@ -320,7 +351,7 @@ def test_oracle_programs_skip_strong_branching_children(monkeypatch):
         found, down, up = [], set(), set()
         for event in events + [[]]:
             if isinstance(event, list):
-                skipped += len(down - up)
+                skipped += len(down ^ up)
                 found, down, up = event, set(), set()
                 continue
             child_lower, child_upper = event
@@ -331,3 +362,218 @@ def test_oracle_programs_skip_strong_branching_children(monkeypatch):
                     up.add(index)
         skipping += int(skipped > 0)
     assert skipping >= 10
+
+
+# ---------------------------------------------------------------------------
+# Lazy strong branching: the decision equals the one with every child solved.
+
+
+def _full_decision(solver, prep, node, result, candidates, cutoff):
+    """Strong branching with both children of every candidate solved to the
+    end by plain ``solve_prepared``: fathom, or the first candidate with the
+    largest min(down, up) and its children below the cutoff (see the
+    ``branch_and_bound`` module docstring).  Returns ``(winner, children)``
+    like ``BranchAndBoundSolver._strong_branch``; children as results."""
+    best_score, winner, kept = -math.inf, -1, None
+    for at, (index, value) in enumerate(candidates[:_STRONG_BRANCHING]):
+        children, values = [], []
+        for down in (True, False):
+            lower, upper = node.lower.copy(), node.upper.copy()
+            if down:
+                upper[index] = min(upper[index], math.floor(value))
+            else:
+                lower[index] = max(lower[index], math.floor(value) + 1)
+            if lower[index] > upper[index] + 1e-12:
+                values.append(math.inf)
+                continue
+            child = solver.simplex.solve_prepared(
+                prep, lower, upper, basis=result.basis
+            )
+            if child.status is not SolveStatus.OPTIMAL:
+                values.append(math.inf)
+                continue
+            values.append(child.objective)
+            if child.objective < cutoff:
+                children.append(child)
+        if not children:
+            return -1, None
+        if min(values) > best_score:
+            best_score, winner, kept = min(values), at, children
+    return winner, kept
+
+
+def _fingerprint(winner, results):
+    if results is None:
+        return winner, None
+    return winner, [(repr(r.objective), r.x.tobytes()) for r in results]
+
+
+@pytest.fixture
+def decisions_checked(monkeypatch):
+    """Make every strong-branching decision check itself against
+    :func:`_full_decision`; yields the list of nodes checked."""
+    checked = []
+    lazy = BranchAndBoundSolver._strong_branch
+
+    def checking(self, prep, node, result, candidates, cutoff, tally):
+        winner, children = lazy(self, prep, node, result, candidates, cutoff, tally)
+        got = _fingerprint(
+            winner, None if children is None else [entry[2] for entry in children]
+        )
+        want = _fingerprint(
+            *_full_decision(self, prep, node, result, candidates, cutoff)
+        )
+        checked.append(got == want)
+        return winner, children
+
+    monkeypatch.setattr(BranchAndBoundSolver, "_strong_branch", checking)
+    return checked
+
+
+def test_lazy_strong_branching_decides_as_full_on_oracle_programs(
+    decisions_checked,
+):
+    for seed in _ORACLE_SEEDS:
+        c, a_ub, b_ub, lower, upper = _small_integer_program(seed)
+        n = c.shape[0]
+        BranchAndBoundSolver().solve(
+            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper,
+            np.ones(n, dtype=bool),
+        )
+    assert len(decisions_checked) > 100
+    assert all(decisions_checked)
+
+
+def _s382_workspace():
+    # The Table 2 sweep's s382 (scale 0.2); its MIN_CYC(1/0.55) is the
+    # sweep's third-largest tree.
+    from repro.core.milp import MilpSettings, MilpWorkspace
+    from repro.pipeline.stages import BuildSpec
+
+    rrg = BuildSpec.from_scenario("iscas", name="s382", scale=0.2, seed=2018).build()
+    return MilpWorkspace(rrg, MilpSettings(backend="pure", time_limit=None))
+
+
+def test_lazy_strong_branching_decides_as_full_on_a_sweep_milp(decisions_checked):
+    _s382_workspace().min_cycle_time(1.8181818181818181)
+    assert len(decisions_checked) > 40
+    assert all(decisions_checked)
+
+
+# ---------------------------------------------------------------------------
+# Paused and resumed solves.
+
+
+def _paused_solve(solver, prep, lower, upper, basis, rng, low, high):
+    """Solve with a random ``stop_above`` between ``low`` and ``high``,
+    resuming each pause with a new one; the last resume has none.  Returns
+    the final result, the summed iterations and every paused bound."""
+    bounds = []
+    out = solver.solve_prepared(
+        prep, lower, upper, basis=basis, stop_above=rng.uniform(low, high)
+    )
+    iterations = out.iterations
+    while isinstance(out, PausedSolve):
+        bounds.append(out.bound)
+        threshold = None if len(bounds) > 12 else rng.uniform(low, high)
+        out = solver.solve_prepared(
+            prep, lower, upper, basis=out, stop_above=threshold
+        )
+        iterations += out.iterations
+    return out, iterations, bounds
+
+
+def _assert_same_solve(got, iterations, want):
+    assert got.status is want.status
+    assert iterations == want.iterations
+    assert repr(got.objective) == repr(want.objective)
+    if want.x is None:
+        assert got.x is None
+        return
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.array_equal(got.basis.basic, want.basis.basic)
+    assert np.array_equal(got.basis.vstat, want.basis.vstat)
+    assert (got.basis.binv + 0.0).tobytes() == (want.basis.binv + 0.0).tobytes()
+
+
+def _check_resumes(solver, prep, lower, upper, basis, rng):
+    """One child solved three ways must agree bit for bit: in one shot
+    from a copy of the parent's token (which has no shared start), and
+    paused and resumed at random thresholds, twice.  The thresholds range
+    over the child's dual objective, from its start (probed by a solve that
+    stops at once) to its optimum.  Returns the number of pauses."""
+    want = solver.solve_prepared(prep, lower, upper, basis=basis.copy())
+    probe = solver.solve_prepared(prep, lower, upper, basis=basis, stop_above=-1e300)
+    if not isinstance(probe, PausedSolve):
+        return 0
+    low = probe.bound
+    if want.status is SolveStatus.OPTIMAL:
+        high = want.objective
+    else:
+        high = low + 10.0 * max(1.0, abs(low))
+    spread = max(high - low, 1e-6 * max(1.0, abs(high)))
+    pauses = 0
+    for _ in range(2):
+        got, iterations, bounds = _paused_solve(
+            solver, prep, lower, upper, basis, rng,
+            low - 0.1 * spread, high + 0.1 * spread,
+        )
+        _assert_same_solve(got, iterations, want)
+        if want.status is SolveStatus.OPTIMAL:
+            slack = 1e-12 * max(1.0, abs(want.objective))
+            assert all(bound <= want.objective + slack for bound in bounds)
+        pauses += len(bounds)
+    return pauses
+
+
+def test_paused_solves_resume_bit_identically_on_random_lps():
+    rng = np.random.default_rng(23)
+    solver = RevisedSimplexSolver(pricing="devex")
+    children = pauses = 0
+    for _ in range(200):
+        n, m = 6, 4
+        c = rng.uniform(-5.0, 5.0, n)
+        a_ub = rng.uniform(-3.0, 3.0, (m, n))
+        b_ub = rng.uniform(0.0, 8.0, m)
+        lower = rng.integers(-3, 1, n).astype(float)
+        upper = lower + rng.integers(1, 6, n)
+        prep = PreparedLP(c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0))
+        parent = solver.solve_prepared(prep, lower, upper)
+        if parent.status is not SolveStatus.OPTIMAL:
+            continue
+        for j in np.flatnonzero(np.abs(parent.x - np.round(parent.x)) > 1e-6):
+            for down in (True, False):
+                child_lower, child_upper = lower.copy(), upper.copy()
+                if down:
+                    child_upper[j] = math.floor(parent.x[j])
+                else:
+                    child_lower[j] = math.floor(parent.x[j]) + 1
+                pauses += _check_resumes(
+                    solver, prep, child_lower, child_upper, parent.basis, rng
+                )
+                children += 1
+    assert children > 200
+    assert pauses > 200
+
+
+def test_paused_solves_resume_bit_identically_on_branching_children(monkeypatch):
+    # Record the child starts of one sweep MILP, then replay a sample.
+    starts = []
+    solve_prepared = RevisedSimplexSolver.solve_prepared
+
+    def recording(self, prep, lower, upper, basis=None, stop_above=None):
+        if stop_above is not None and isinstance(basis, BasisState):
+            starts.append((self, prep, lower, upper, basis))
+        return solve_prepared(
+            self, prep, lower, upper, basis=basis, stop_above=stop_above
+        )
+
+    monkeypatch.setattr(RevisedSimplexSolver, "solve_prepared", recording)
+    _s382_workspace().min_cycle_time(1.8181818181818181)
+    monkeypatch.setattr(RevisedSimplexSolver, "solve_prepared", solve_prepared)
+    rng = np.random.default_rng(382)
+    pauses = 0
+    for solver, prep, lower, upper, basis in starts:
+        pauses += _check_resumes(solver, prep, lower, upper, basis, rng)
+    assert len(starts) > 200
+    assert pauses > 200
