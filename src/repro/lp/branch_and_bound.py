@@ -38,9 +38,10 @@ infeasible), ``s_i = min(d_i, u_i)`` and ``C`` the cutoff:
 A child's exact value matters only where it decides one of these
 comparisons (Achterberg, Koch & Martin, "Branching rules revisited", Oper.
 Res. Letters 33, 2005), and a warm dual-simplex child has a lower bound, its
-dual objective, at every pivot.  So each child runs only until it finishes
-or its bound proves it above the value it is compared with (a paused solve,
-:class:`repro.lp.revised_simplex.PausedSolve`, resumable later):
+dual objective, at every dual feasible basis it passes.  So each child runs
+only until it finishes or such a bound proves it above the value it is
+compared with (a paused solve, :class:`repro.lp.revised_simplex.PausedSolve`,
+resumable later):
 
 * the child nearer the candidate's value goes first (the up child on a
   tie): its bound moves less, so it is the likelier to be the lower one;
@@ -403,9 +404,10 @@ class BranchAndBoundSolver:
             return
         else:
             basis = child.paused
+        # No bound exceeds an infinite threshold: solve without checking.
         outcome = self.simplex.solve_prepared(
             prep, child.node.lower, child.node.upper, basis=basis,
-            stop_above=threshold,
+            stop_above=threshold if math.isfinite(threshold) else None,
         )
         tally.iterations += outcome.iterations
         if isinstance(outcome, PausedSolve):

@@ -51,19 +51,21 @@ parent basis and mostly need only a bound on their optimum:
 
 * **Shared start.**  The :class:`BasisState` of a finished solve carries that
   solve's final reduced costs and derived vectors.  A warm start from it
-  copies them and patches the columns whose bounds changed instead of
-  re-deriving everything, and the fresh basic values of a start whose
-  nonbasic values did not change are computed once per token.  Reduced
-  costs depend only on the basis and its inverse, which the child inherits,
-  so they are the same numbers a fresh computation gives.
+  whose changed bounds all belong to basic columns (a branching child's)
+  copies them instead of re-deriving everything, and, under the same
+  right-hand side, its fresh basic values and dual-feasibility verdict are
+  computed once per token.  Reduced costs depend only on the basis and its
+  inverse, which the child inherits, so they are the same numbers a fresh
+  computation gives.
 * **Pause and resume.**  Given ``stop_above=t``, a warm dual-simplex solve
   stops as soon as the dual objective ``c @ z`` of its current basis exceeds
-  ``t`` by ``1e-9 * max(1, |t|)`` (see :func:`exceeds`), and hands
-  back a :class:`PausedSolve`.  The dual objective never decreases along
-  dual-simplex pivots and ends at the optimum, so it bounds the optimum from
-  below; the margin absorbs its round-off.  Passing the token back as
-  ``basis`` continues the very same pivots, so a solve split into pieces
-  ends with the result of the one-shot solve, bit for bit.
+  ``t`` by ``1e-9 * max(1, |t|)`` (see :func:`exceeds`) at a basis whose
+  reduced costs all have the right sign up to the pricing tolerance, and
+  hands back a :class:`PausedSolve`.  At such a basis the dual objective is
+  the Lagrangian bound ``y @ b + r @ nb`` of its duals, so it bounds the
+  optimum from below; the margin absorbs its round-off.  Passing the token
+  back as ``basis`` continues the very same pivots, so a solve split into
+  pieces ends with the result of the one-shot solve, bit for bit.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def exceeds(bound: float, threshold: float) -> bool:
     Every comparison of a paused solve's bound with a value goes through
     here; without the margin a bound that overshoots by round-off would
     order two children that a finished solve orders the other way.
+
+    A solve reports a bound only at a basis with no reduced cost of the
+    wrong sign beyond ``_TOLERANCE`` (1e-9), the pricing tolerance of the
+    primal pass that polishes a finished dual solve.  The dual simplex
+    itself starts from bases with wrong-signed reduced costs up to 1e-7
+    (``_dual_feasible``), and a Bland pivot, which ignores the ratio test,
+    can lose dual feasibility; at such a basis ``c @ z`` is no bound, and
+    the polish could end below it.
     """
     return bound >= threshold + _PAUSE_MARGIN * max(1.0, abs(threshold))
 
@@ -149,8 +159,9 @@ class BasisState:
             warm starts from this token share (see the module docstring);
             ``None`` for a token built by hand.
 
-    A token is read, never written, by the solves it warm-starts; it must not
-    be modified once used, since it caches its compatibility verdict.
+    A token is read, never written, by the solves it warm-starts.  It caches
+    its compatibility verdict, so a solve hands out ``basic`` and ``vstat``
+    read-only; :meth:`copy` gives writable ones.
     """
 
     basic: np.ndarray
@@ -201,9 +212,9 @@ class _Start:
 
     The final bounds, derived vectors and reduced costs of that solve (its
     last arrays, shared: the solve is over and a warm start copies what it
-    modifies), plus what the first warm start that keeps every nonbasic
-    status and value computes and the later ones reuse: the fresh basic
-    values ``B^-1 (b - A nb)`` and the dual-feasibility verdict.
+    modifies), plus what the first warm start from it computes and the later
+    ones reuse: the fresh basic values ``B^-1 (b - A nb)`` and the
+    dual-feasibility verdict.
     """
 
     __slots__ = (
@@ -322,7 +333,7 @@ class _State:
     * ``r``, the reduced costs of the current basis, or None until
       :meth:`reduced_costs` computes them; a basis change clears them;
     * ``shared``, the :class:`_Start` this start was installed from when it
-      kept all of that start's nonbasic statuses and values, else None.
+      also shares that start's basic values, else None.
 
     The dual loop's anti-cycling counters and its iteration count live here
     too, so that a paused solve resumes them.
@@ -625,7 +636,14 @@ class RevisedSimplexSolver:
                 return True
         # Sanitise statuses against the *current* bounds: a variable can only
         # rest at a bound that exists.
-        _rest_on_finite_bounds(state.vstat, state.lo, state.hi)
+        finite_lo = np.isfinite(state.lo)
+        finite_hi = np.isfinite(state.hi)
+        stray = (state.vstat == AT_LOWER) & ~finite_lo
+        if stray.any():
+            state.vstat[stray] = np.where(finite_hi[stray], AT_UPPER, FREE)
+        stray = (state.vstat == AT_UPPER) & ~finite_hi
+        if stray.any():
+            state.vstat[stray] = np.where(finite_lo[stray], AT_LOWER, FREE)
         state.derive()
         if inherit:
             # Inherit the factorised inverse from the parent solve instead of
@@ -638,39 +656,31 @@ class RevisedSimplexSolver:
         return state.refactorize()
 
     def _share_start(self, state: _State, basis: BasisState) -> bool:
-        """Install ``basis`` from its solve's shared start, patching the
-        columns whose bounds differ; False (nothing derived) when one of
-        them becomes FREE, which the full derivation handles."""
+        """Install ``basis`` from its solve's shared start when every column
+        whose bounds changed is basic; False (nothing installed) otherwise.
+
+        The start's vectors equal a fresh derivation under its own bounds,
+        and a basic column's bounds enter only its row's ``lb`` and ``ub``,
+        so such a start keeps every nonbasic status and value.  A
+        strong-branching child tightens a fractional, hence basic, variable.
+        """
         start = basis.start
-        changed = np.flatnonzero((state.lo != start.lo) | (state.hi != start.hi))
-        # The parent's vectors equal a fresh derivation under its own
-        # bounds, so only the changed columns can differ; for a basic one
-        # just its row's bounds do.
-        moved = changed[state.vstat[changed] != BASIC]
+        changed = (state.lo != start.lo) | (state.hi != start.hi)
+        if (changed & (state.vstat != BASIC)).any():
+            return False
         state.nb = start.nb.copy()
         state.sign = start.sign.copy()
-        if moved.size:
-            codes = state.vstat[moved]
-            lo = state.lo[moved]
-            hi = state.hi[moved]
-            _rest_on_finite_bounds(codes, lo, hi)
-            if (codes == FREE).any():
-                return False
-            state.vstat[moved] = codes
-            at_lower = codes == AT_LOWER
-            state.nb[moved] = np.where(at_lower, lo, hi)
-            state.sign[moved] = np.where(lo == hi, 0.0, np.where(at_lower, 1.0, -1.0))
         state.free = None if start.free is None else start.free.copy()
         state.lb = state.lo[state.basic]
         state.ub = state.hi[state.basic]
         state.binv = basis.binv.copy()
         state.age = basis.age
         state.r = start.r
-        if moved.size or start.b is not state.prep.b:
+        if start.b is not state.prep.b:
             state.recompute_xb()
             return True
-        # Same nonbasic values and statuses as the parent: the start's basic
-        # values and dual-feasibility verdict are this start's too.
+        # The start's basic values and dual-feasibility verdict are this
+        # start's too.
         state.shared = start
         if start.xB is None:
             state.recompute_xb()
@@ -716,6 +726,8 @@ class RevisedSimplexSolver:
         x = point[: prep.n]
         objective = float(prep.c_ext[: prep.n] @ x)
         # The state ends with this solve, so its arrays become the token.
+        state.basic.setflags(write=False)
+        state.vstat.setflags(write=False)
         return SimplexResult(
             SolveStatus.OPTIMAL,
             x,
@@ -960,8 +972,9 @@ class RevisedSimplexSolver:
 
         Returns the status and the iterations of this call.  With
         ``stop_above`` it returns status None, leaving the dual objective in
-        ``state.bound``, as soon as that exceeds the threshold (checked
-        before each pivot); calling it again on the same state continues.
+        ``state.bound``, as soon as that exceeds the threshold at a dual
+        feasible basis (checked before each pivot); calling it again on the
+        same state continues.
         """
         prep = state.prep
         A = prep.A
@@ -983,7 +996,11 @@ class RevisedSimplexSolver:
                 return SolveStatus.OPTIMAL, iteration - first
             if stop_above is not None:
                 bound = float(c[state.basic] @ state.xB + c @ state.nb)
-                if exceeds(bound, stop_above):
+                # The bound holds only at a dual feasible basis, at the
+                # pricing tolerance of the primal polish (see exceeds).
+                if exceeds(bound, stop_above) and not state.admissible(
+                    state.reduced_costs(), _TOLERANCE
+                ).any():
                     state.bound = bound
                     state.dual_iterations = iteration
                     state.degenerate_run = degenerate_run
@@ -1032,16 +1049,3 @@ class RevisedSimplexSolver:
                 degenerate_run = 0
                 bland = False
         return SolveStatus.ERROR, _MAX_ITERATIONS - first
-
-
-def _rest_on_finite_bounds(vstat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Move statuses in place off bounds that do not exist: a column can only
-    rest at a finite bound, and with none it is FREE."""
-    finite_lo = np.isfinite(lo)
-    finite_hi = np.isfinite(hi)
-    stray = (vstat == AT_LOWER) & ~finite_lo
-    if stray.any():
-        vstat[stray] = np.where(finite_hi[stray], AT_UPPER, FREE)
-    stray = (vstat == AT_UPPER) & ~finite_hi
-    if stray.any():
-        vstat[stray] = np.where(finite_lo[stray], AT_LOWER, FREE)

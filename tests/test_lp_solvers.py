@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.lp import Model, SolveStatus
 from repro.lp.branch_and_bound import _STRONG_BRANCHING, BranchAndBoundSolver
+from repro.lp import revised_simplex
 from repro.lp.revised_simplex import (
     BasisState,
     PausedSolve,
@@ -249,6 +250,8 @@ def test_warm_start_token_with_an_unknown_status_code_cold_starts():
         prep = PreparedLP(c, a_ub, b_ub, np.zeros((0, 6)), np.zeros(0))
         cold = solver.solve_prepared(prep, lower, upper)
         assert cold.status is SolveStatus.OPTIMAL, seed
+        with pytest.raises(ValueError):
+            cold.basis.vstat[0] = 7  # a returned token is read-only
         token = cold.basis.copy()
         token.vstat[np.flatnonzero(token.vstat != 0)[0]] = 7
         assert not token.compatible_with(prep.m, prep.total), seed
@@ -526,11 +529,12 @@ def _check_resumes(solver, prep, lower, upper, basis, rng):
     return pauses
 
 
-def test_paused_solves_resume_bit_identically_on_random_lps():
-    rng = np.random.default_rng(23)
+def _random_children(rng, count):
+    """The branching children of ``count`` seeded bounded LPs: yields
+    ``(prep, lower, upper, parent)`` per child, ``parent`` the finished
+    solve of its LP."""
     solver = RevisedSimplexSolver(pricing="devex")
-    children = pauses = 0
-    for _ in range(200):
+    for _ in range(count):
         n, m = 6, 4
         c = rng.uniform(-5.0, 5.0, n)
         a_ub = rng.uniform(-3.0, 3.0, (m, n))
@@ -548,21 +552,17 @@ def test_paused_solves_resume_bit_identically_on_random_lps():
                     child_upper[j] = math.floor(parent.x[j])
                 else:
                     child_lower[j] = math.floor(parent.x[j]) + 1
-                pauses += _check_resumes(
-                    solver, prep, child_lower, child_upper, parent.basis, rng
-                )
-                children += 1
-    assert children > 200
-    assert pauses > 200
+                yield prep, child_lower, child_upper, parent
 
 
-def test_paused_solves_resume_bit_identically_on_branching_children(monkeypatch):
-    # Record the child starts of one sweep MILP, then replay a sample.
+def _sweep_child_starts(monkeypatch):
+    """The warm starts of one sweep MILP's relaxations, as
+    ``(solver, prep, lower, upper, basis)``."""
     starts = []
     solve_prepared = RevisedSimplexSolver.solve_prepared
 
     def recording(self, prep, lower, upper, basis=None, stop_above=None):
-        if stop_above is not None and isinstance(basis, BasisState):
+        if isinstance(basis, BasisState):
             starts.append((self, prep, lower, upper, basis))
         return solve_prepared(
             self, prep, lower, upper, basis=basis, stop_above=stop_above
@@ -571,9 +571,69 @@ def test_paused_solves_resume_bit_identically_on_branching_children(monkeypatch)
     monkeypatch.setattr(RevisedSimplexSolver, "solve_prepared", recording)
     _s382_workspace().min_cycle_time(1.8181818181818181)
     monkeypatch.setattr(RevisedSimplexSolver, "solve_prepared", solve_prepared)
+    return starts
+
+
+def test_paused_solves_resume_bit_identically_on_random_lps():
+    rng = np.random.default_rng(23)
+    solver = RevisedSimplexSolver(pricing="devex")
+    children = pauses = 0
+    for prep, lower, upper, parent in _random_children(rng, 200):
+        pauses += _check_resumes(solver, prep, lower, upper, parent.basis, rng)
+        children += 1
+    assert children > 200
+    assert pauses > 200
+
+
+def test_paused_solves_resume_bit_identically_on_branching_children(monkeypatch):
+    starts = _sweep_child_starts(monkeypatch)
     rng = np.random.default_rng(382)
     pauses = 0
     for solver, prep, lower, upper, basis in starts:
         pauses += _check_resumes(solver, prep, lower, upper, basis, rng)
     assert len(starts) > 200
     assert pauses > 200
+
+
+def test_paused_bounds_hold_after_bland_pivots(monkeypatch):
+    # A Bland pivot takes the first admissible column, not the one of the
+    # smallest ratio, and so can lose dual feasibility; no bound may be
+    # reported from such a basis.  Bland's rule from the first degenerate
+    # pivot on.
+    monkeypatch.setattr(revised_simplex, "_BLAND_TRIGGER", 0)
+    starts = _sweep_child_starts(monkeypatch)
+    rng = np.random.default_rng(30)
+    pauses = 0
+    for solver, prep, lower, upper, basis in starts:
+        pauses += _check_resumes(solver, prep, lower, upper, basis, rng)
+    solver = RevisedSimplexSolver(pricing="devex")
+    for prep, lower, upper, parent in _random_children(rng, 100):
+        pauses += _check_resumes(solver, prep, lower, upper, parent.basis, rng)
+    assert pauses > 400
+
+
+def test_paused_bounds_hold_when_the_start_is_dual_feasible_only_to_1e7():
+    # The dual simplex accepts a start whose reduced costs have the wrong
+    # sign by up to 1e-7 (_dual_feasible); the primal pass that polishes
+    # its end prices at 1e-9 and can end below c @ z of any earlier basis.
+    # Here one nonbasic column of each parent gets a reduced cost of -5e-8
+    # at its lower bound, by moving its cost.
+    rng = np.random.default_rng(77)
+    solver = RevisedSimplexSolver(pricing="devex")
+    children = 0
+    for prep, lower, upper, parent in _random_children(rng, 200):
+        basis = parent.basis
+        y = prep.c_ext[basis.basic] @ basis.binv
+        r = prep.c_ext - y @ prep.A
+        at_lower = np.flatnonzero(basis.vstat[: prep.n] == 1)
+        if at_lower.size == 0:
+            continue
+        j = at_lower[0]
+        c = prep.c_ext[: prep.n].copy()
+        c[j] -= r[j] + 5e-8
+        moved = PreparedLP(
+            c, prep.A[:, : prep.n], prep.b, np.zeros((0, prep.n)), np.zeros(0)
+        )
+        _check_resumes(solver, moved, lower, upper, basis, rng)
+        children += 1
+    assert children > 100
