@@ -763,12 +763,8 @@ class RevisedSimplexSolver:
         shared = state.shared
         if shared is not None and shared.dual_ok is not None:
             return shared.dual_ok
-        r = state.reduced_costs()
-        tol = max(_TOLERANCE, 1e-7)
-        bad_lo = (state.vstat == AT_LOWER) & (r < -tol)
-        bad_hi = (state.vstat == AT_UPPER) & (r > tol)
-        bad_free = (state.vstat == FREE) & (np.abs(r) > tol)
-        verdict = not bool(np.any(bad_lo | bad_hi | bad_free))
+        # Fixed columns never enter (sign 0): their reduced costs do not count.
+        verdict = not state.admissible(state.reduced_costs(), 1e-7).any()
         if shared is not None:
             shared.dual_ok = verdict
         return verdict

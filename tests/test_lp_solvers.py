@@ -315,6 +315,26 @@ def test_branch_and_bound_matches_enumeration(chunk):
         ), seed
 
 
+def test_branch_and_bound_fathoms_at_the_tie_scale():
+    # min t + p*y, y integer in [0, 2], over t >= 100 + 3a(y - 1.6) and
+    # t >= 100 - 2a(y - 1.6): the relaxation sits in the valley at y = 1.6
+    # with t = 100; y = 1 and y = 2 both need t = 100 + 1.2a.  Rounding the
+    # relaxation gives the incumbent y = 2, one unit p above the optimum
+    # y = 1.  A gap of 1e-6 relative (1e-4 here) would fathom the root on
+    # that incumbent; half a unit of the smallest integer cost may not.
+    p, a = 1e-6, 1e-5
+    c = np.array([1.0, p])
+    a_ub = np.array([[-1.0, 3.0 * a], [-1.0, -2.0 * a]])
+    b_ub = np.array([4.8 * a - 100.0, -3.2 * a - 100.0])
+    result = BranchAndBoundSolver().solve(
+        c, a_ub, b_ub, np.zeros((0, 2)), np.zeros(0),
+        np.zeros(2), np.array([math.inf, 2.0]), np.array([False, True]),
+    )
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.x[1] == 1.0
+    assert result.objective == pytest.approx(100.0 + 1.2 * a + p, rel=0, abs=1e-10)
+
+
 def test_oracle_programs_skip_strong_branching_children(monkeypatch):
     # The oracle above covers the lazy strong branching only if some of its
     # programs never start a child.  Record each node's candidates and the
@@ -637,3 +657,36 @@ def test_paused_bounds_hold_when_the_start_is_dual_feasible_only_to_1e7():
         _check_resumes(solver, moved, lower, upper, basis, rng)
         children += 1
     assert children > 100
+
+
+def test_fixed_columns_do_not_keep_a_warm_start_off_the_dual_simplex():
+    # max x1 + 2 x2 s.t. x1 + x2 = 2, as min -x1 - 2 x2 with the row
+    # negated: at the optimum (0, 2) the fixed slack of the equality row
+    # sits at its lower bound with reduced cost -2, the wrong sign for a
+    # column that could move.  A fixed column never enters, so the start
+    # is dual feasible: with x2 <= 1 the warm solve takes the dual simplex
+    # and can pause at once.
+    solver = RevisedSimplexSolver(pricing="devex")
+    prep = PreparedLP(
+        np.array([-1.0, -2.0]), np.zeros((0, 2)), np.zeros(0),
+        np.array([[-1.0, -1.0]]), np.array([-2.0]),
+    )
+    lower, upper = np.zeros(2), np.full(2, 3.0)
+    parent = solver.solve_prepared(prep, lower, upper)
+    assert parent.status is SolveStatus.OPTIMAL
+    basis = parent.basis
+    r = prep.c_ext - (prep.c_ext[basis.basic] @ basis.binv) @ prep.A
+    wrong = ((basis.vstat == 1) & (r < -1e-7)) | ((basis.vstat == 2) & (r > 1e-7))
+    lo, hi = prep.full_bounds(lower, upper)
+    assert wrong.any() and np.all(lo[wrong] == hi[wrong])
+
+    child_upper = np.array([3.0, 1.0])
+    paused = solver.solve_prepared(
+        prep, lower, child_upper, basis=basis, stop_above=-10.0
+    )
+    assert isinstance(paused, PausedSolve)
+    finished = solver.solve_prepared(prep, lower, child_upper, basis=paused)
+    cold = solver.solve_prepared(prep, lower, child_upper)
+    assert finished.status is cold.status is SolveStatus.OPTIMAL
+    assert finished.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert cold.objective == pytest.approx(-3.0)

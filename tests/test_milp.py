@@ -151,12 +151,15 @@ class TestEarlyEvaluationAdvantage:
 # solves on the pure backend, its status, its objective and the rounded
 # integer part of its point, in call order.  A change to the revised simplex
 # or to branch and bound that is meant to leave every decision alone must
-# reproduce them.  Objectives are compared to 1e-9 relative: their last bits
-# depend on the BLAS build.  The integer points are compared exactly, so
-# they assume a BLAS whose round-off breaks the pivot ties as the recording
-# one did: where a MILP has tied optima, another build may return a
+# reproduce them.  Branch and bound fathoms within half a unit of the
+# buffer tie-break penalty, so the objectives no longer depend on the pivot
+# path; they are compared to 1e-9 relative, since their last bits depend on
+# the BLAS build.  The integer points are compared exactly, so they still
+# assume a BLAS whose round-off breaks the pivot ties as the recording one
+# did: where a MILP has exactly tied optima, another build may return a
 # different optimal point with the same objective.  A deliberate change of
-# the sweep's optima re-records the file with ``python tests/test_milp.py``.
+# the sweep's optima re-records the file, from the repository root, with
+# ``PYTHONPATH=src python tests/test_milp.py``.
 
 _SWEEP_GOLDEN = Path(__file__).parent / "golden" / "milp_sweep_decisions.json"
 _SWEEP_NAMES = ["s27", "s208", "s420", "s382", "s400"]
